@@ -1,10 +1,10 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: ci vet fmt lint vuln build test shuffle race bench bench-smoke bench-sweep bench-sweep-4 bench-sweep-7 bench-sweep-10 alloc-gate chaos chaos-partition chaos-partition-smoke fuzz-smoke crash overload-smoke explore-smoke explore cover
+.PHONY: ci vet fmt lint vuln build test benchmark-test benchmark-smoke flake shuffle race bench bench-smoke bench-sweep bench-sweep-4 bench-sweep-7 bench-sweep-10 alloc-gate chaos chaos-partition chaos-partition-smoke fuzz-smoke crash overload-smoke explore-smoke explore cover
 
 # The full gate: what must pass before merging.
-ci: vet fmt lint vuln build test shuffle race bench-smoke alloc-gate fuzz-smoke crash chaos-partition-smoke overload-smoke explore-smoke
+ci: vet fmt lint vuln build test benchmark-test benchmark-smoke shuffle race bench-smoke alloc-gate fuzz-smoke crash chaos-partition-smoke overload-smoke explore-smoke
 
 vet:
 	$(GO) vet ./...
@@ -29,6 +29,25 @@ build:
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is a module of its own (BENCHMARK.json's cost-ledger rig),
+# so `go test ./...` above skips it. Its tests are also the guard that
+# txn.Spec, txn.Result, txn.Runtime and sched.Scheduler stay
+# source-compatible with it (~1 s).
+benchmark-test:
+	cd benchmark && $(GO) test ./...
+
+# The rig end to end on every workload with its output checks on (~7 s):
+# commits + failures = offered, bank balance, recovery equals the live
+# store. Builds into .bench_build/, which .gitignore covers.
+benchmark-smoke:
+	bash benchmark/run.sh -quick
+
+# Flake hunt: the concurrency-heavy suites ten times over. Not part of
+# ci (minutes); run it before trusting a change to the runtime, the
+# adapters or a baseline scheduler.
+flake:
+	$(GO) test -count=10 ./internal/sim ./internal/txn ./internal/sched ./internal/interval
 
 # The suite again in random test order: catches inter-test state leaks
 # (shared package-level state, test-order-dependent fixtures).
@@ -74,10 +93,12 @@ bench-sweep-4:
 # benchmarks with -benchmem and checks allocs/op against the budgets in
 # bench/alloc_budget.json. The steady-state engine/adapter benches are
 # budgeted at exactly 0 allocs/op; the whole-run cells get headroom for
-# setup noise. A budget pattern matching no benchmark also fails, so a
-# renamed benchmark cannot silently escape its gate.
+# setup noise; BenchmarkRuntimeExec holds txn.Runtime.ExecCtx to 0 on
+# the commit-only case and to the one *AbortError per abort otherwise.
+# A budget pattern matching no benchmark also fails, so a renamed
+# benchmark cannot silently escape its gate.
 alloc-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkStripedScheduler/(free-store|steady)|BenchmarkDurableCommit/volatile' \
+	$(GO) test -run '^$$' -bench 'BenchmarkStripedScheduler/(free-store|steady)|BenchmarkDurableCommit/volatile|BenchmarkRuntimeExec' \
 		-benchmem -benchtime 100x . | $(GO) run ./cmd/allocgate -budget bench/alloc_budget.json
 
 # The zero-allocation-hot-path sweep behind bench/BENCH_10.json (see

@@ -13,6 +13,7 @@
 package mdts
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -930,5 +931,71 @@ func BenchmarkStripedScheduler(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			iter()
 		}
+	})
+}
+
+// BenchmarkRuntimeExec is one transaction through txn.Runtime.ExecCtx
+// on MT(7)/striped in steady state: one goroutine, fresh ids over a
+// cycled spec pool (make alloc-gate budgets it in
+// bench/alloc_budget.json). commit repeats one transfer between the same
+// two accounts, so every transaction commits first try and the
+// runtime's whole path — jitter source, pooled read scratch, Spec.Value,
+// Result.Reads — must come to 0 allocs/op. uniform (70 %-read 4-op mix
+// over 1024 items, immediate writes) and bank (transfers over 16
+// accounts, deferred writes) abort 0.4-0.6 times per commit even in
+// serial execution (attempts/txn), and each abort costs its
+// *sched.AbortError and nothing else.
+func BenchmarkRuntimeExec(b *testing.B) {
+	items := workload.Config{Items: 1024}.ItemNames()
+	run := func(b *testing.B, pool []txn.Spec, deferWrites bool) float64 {
+		store := storage.New()
+		for _, x := range items {
+			store.Set(x, 1000)
+		}
+		rt := &txn.Runtime{
+			Sched: sched.NewMTStriped(store, sched.MTOptions{
+				Core:        engine.Options{K: 7, StarvationAvoidance: true},
+				DeferWrites: deferWrites,
+			}),
+			MaxAttempts: 1000, Backoff: 20 * time.Microsecond, Seed: 1,
+		}
+		ctx := context.Background()
+		n, attempts := 0, 0
+		iter := func() {
+			spec := pool[n%len(pool)]
+			n++
+			spec.ID = n
+			res := rt.ExecCtx(ctx, spec)
+			if !res.Committed {
+				b.Fatalf("transaction %d gave up: %+v", n, res)
+			}
+			attempts += res.Attempts
+		}
+		for i := 0; i < 20000; i++ {
+			iter() // warm the intern table, entry pool and read scratch
+		}
+		n0, a0 := n, attempts
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			iter()
+		}
+		perTxn := float64(attempts-a0) / float64(n-n0)
+		b.ReportMetric(perTxn, "attempts/txn")
+		return perTxn
+	}
+	b.Run("commit", func(b *testing.B) {
+		pool := []txn.Spec{workload.Transfer(1, items[0], items[1], 1)}
+		if got := run(b, pool, true); got != 1 {
+			b.Fatalf("commit-only case retried: %.3f attempts/txn", got)
+		}
+	})
+	b.Run("uniform", func(b *testing.B) {
+		run(b, workload.Config{
+			Txns: 4096, OpsPerTxn: 4, Items: len(items), ReadFraction: 0.7, Seed: 7,
+		}.Generate(), false)
+	})
+	b.Run("bank", func(b *testing.B) {
+		run(b, workload.Transfers(4096, items[:16], 1, 7), true)
 	})
 }

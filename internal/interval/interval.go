@@ -288,6 +288,9 @@ func (iv *Interval) Commit(txn int) error {
 	for _, x := range st.order {
 		j := iv.maxHolder(x)
 		if !iv.encode(iv.state(j), st) {
+			// Park the state exactly as Abort does: the transaction's reads
+			// (and the writes validated so far) already set rt/wt to it.
+			iv.fin[txn] = st
 			delete(iv.txns, txn)
 			return sched.Abort(txn, j, "interval order violated at commit")
 		}

@@ -175,3 +175,43 @@ func TestReadYourOwnWrite(t *testing.T) {
 		t.Fatalf("v=%d err=%v", v, err)
 	}
 }
+
+// A commit-time reject must park the transaction's interval like Abort
+// does: its earlier reads already set RT to it, and a later reader of
+// the same item resolves that holder.
+func TestCommitRejectKeepsHolderState(t *testing.T) {
+	s := New(storage.New(), Options{})
+	s.Begin(1)
+	s.Begin(2)
+	s.Begin(3)
+	if _, err := s.Read(1, "z"); err != nil { // RT(z) = T1
+		t.Fatal(err)
+	}
+	// T1 -> T2 -> T3 through x, then T3 -> T1 through y closes the cycle.
+	if _, err := s.Read(1, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(2, "x", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Read(3, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Read(3, "y"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(1, "y", 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(1); !errors.Is(err, sched.ErrAbort) {
+		t.Fatalf("cycle-closing commit succeeded: %v", err)
+	}
+	s.Abort(1) // what txn.Runtime does after a failed commit
+	s.Begin(4)
+	if _, err := s.Read(4, "z"); err != nil { // panicked: unknown transaction 1
+		t.Fatal(err)
+	}
+}

@@ -253,8 +253,9 @@ func (d *DMT) Read(txn int, item string) (int64, error) {
 	if dec.Verdict == core.Reject {
 		d.mu.Lock()
 		st.blocker = dec.Blocker
+		_, live := d.txns[dec.Blocker]
 		d.mu.Unlock()
-		return 0, Abort(txn, dec.Blocker, "read rejected")
+		return 0, abortBy(txn, dec.Blocker, live, "read rejected")
 	}
 	d.mu.Lock()
 	st.stepped = true
@@ -316,8 +317,9 @@ func (d *DMT) Write(txn int, item string, v int64) error {
 	if dec.Verdict == core.Reject {
 		d.mu.Lock()
 		st.blocker = dec.Blocker
+		_, live := d.txns[dec.Blocker]
 		d.mu.Unlock()
-		return Abort(txn, dec.Blocker, "write rejected")
+		return abortBy(txn, dec.Blocker, live, "write rejected")
 	}
 	d.mu.Lock()
 	st.writes[item] = v

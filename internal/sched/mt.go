@@ -111,7 +111,8 @@ func (m *MT) Read(txn int, item string) (int64, error) {
 	d := m.sched.Step(oplog.R(txn, item))
 	if d.Verdict == core.Reject {
 		st.blocker = d.Blocker
-		return 0, Abort(txn, d.Blocker, "read rejected")
+		_, live := m.txns[d.Blocker]
+		return 0, abortBy(txn, d.Blocker, live, "read rejected")
 	}
 	if !m.opts.DeferWrites {
 		if w := m.sched.WT(item); w != txn {
@@ -154,7 +155,8 @@ func (m *MT) Write(txn int, item string, v int64) error {
 		switch d.Verdict {
 		case core.Reject:
 			st.blocker = d.Blocker
-			return Abort(txn, d.Blocker, "write rejected")
+			_, live := m.txns[d.Blocker]
+			return abortBy(txn, d.Blocker, live, "write rejected")
 		case core.AcceptIgnored:
 			// Thomas write rule: the write is obsolete; drop it.
 			delete(st.writes, item)
@@ -193,7 +195,8 @@ func (m *MT) Commit(txn int) error {
 				st.blocker = d.Blocker
 				m.sched.Abort(txn, d.Blocker)
 				delete(m.txns, txn)
-				return Abort(txn, d.Blocker, "commit-time write validation failed")
+				_, live := m.txns[d.Blocker]
+				return abortBy(txn, d.Blocker, live, "commit-time write validation failed")
 			case core.AcceptIgnored:
 				delete(apply, x)
 			}
@@ -261,6 +264,11 @@ func (m *MT) TryPartialRestart(txn int, readItems []string) bool {
 // access) so storage reads and commit publishes on disjoint items
 // overlap, while the latch still pins each decision to the store state
 // it was made against.
+//
+// Composite's aborts name no blocker — a reject means every subprotocol
+// stopped, not that one transaction stood in the way — so
+// AbortError.BlockerFinished stays false and the runtime keeps its
+// jittered wait after them.
 type Composite struct {
 	mu      sync.Mutex
 	k       int

@@ -105,8 +105,9 @@ func (n *Nested) Read(txn int, item string) (int64, error) {
 	d := n.sched.Step(oplog.R(txn, item))
 	if d.Verdict == core.Reject {
 		st.blocker = d.Blocker
+		_, live := n.txns[d.Blocker]
 		n.mu.Unlock()
-		return 0, Abort(txn, d.Blocker, "read rejected")
+		return 0, abortBy(txn, d.Blocker, live, "read rejected")
 	}
 	if n.latches == nil {
 		defer n.mu.Unlock()
@@ -149,9 +150,10 @@ func (n *Nested) Commit(txn int) error {
 		d := n.sched.Step(oplog.W(txn, x))
 		if d.Verdict == core.Reject {
 			st.blocker = d.Blocker
+			_, live := n.txns[d.Blocker]
 			delete(n.txns, txn)
 			n.mu.Unlock()
-			return Abort(txn, d.Blocker, "commit-time write validation failed")
+			return abortBy(txn, d.Blocker, live, "commit-time write validation failed")
 		}
 	}
 	writes := make(map[string]int64, len(st.writes))

@@ -25,6 +25,18 @@ type AbortError struct {
 	Txn     int
 	Blocker int
 	Reason  string
+	// BlockerFinished reports the blocker's state at rejection time: true
+	// means Blocker names a transaction that had already committed or
+	// aborted when the operation was rejected, so nothing the caller could
+	// wait for will change the outcome — the transaction runtime retries
+	// such an abort at once instead of backing off. The zero value means
+	// "in flight, or not known" and keeps the jittered wait. Only a
+	// scheduler that can answer from a live-set it already keeps (the
+	// engine adapters of this package) sets it; every other scheduler,
+	// and every abort that names no blocker, leaves it false. It rides in
+	// the error, not in an optional scheduler interface, so a decorator
+	// around a Scheduler cannot hide it.
+	BlockerFinished bool
 }
 
 // Error implements error.
@@ -35,9 +47,18 @@ func (e *AbortError) Error() string {
 // Unwrap makes errors.Is(err, ErrAbort) true.
 func (e *AbortError) Unwrap() error { return ErrAbort }
 
-// Abort builds an *AbortError.
+// Abort builds an *AbortError whose blocker is in flight or of unknown
+// state (BlockerFinished false).
 func Abort(txn, blocker int, reason string) error {
 	return &AbortError{Txn: txn, Blocker: blocker, Reason: reason}
+}
+
+// abortBy builds the *AbortError of a rejection against blocker, whose
+// liveness the adapter read from its live-set under the lock that
+// guards it. Blocker 0 is the virtual initial transaction: it names
+// nobody, so its state stays unknown.
+func abortBy(txn, blocker int, live bool, reason string) error {
+	return &AbortError{Txn: txn, Blocker: blocker, Reason: reason, BlockerFinished: blocker != 0 && !live}
 }
 
 // ErrUnavailable is returned by distributed schedulers when a site the

@@ -178,7 +178,7 @@ func (m *MTStriped) Read(txn int, item string) (int64, error) {
 	if v == core.Reject {
 		lt.UnlockStripe(stripe)
 		st.blocker = blocker
-		return 0, Abort(txn, blocker, "read rejected")
+		return 0, abortBy(txn, blocker, m.live(blocker), "read rejected")
 	}
 	if !m.opts.DeferWrites {
 		if w, conflict := m.sched.ReadPendingWriterID(txn, id, m.liveFn); conflict {
@@ -219,7 +219,7 @@ func (m *MTStriped) Write(txn int, item string, v int64) error {
 		switch verdict {
 		case core.Reject:
 			st.blocker = blocker
-			return Abort(txn, blocker, "write rejected")
+			return abortBy(txn, blocker, m.live(blocker), "write rejected")
 		case core.AcceptIgnored:
 			// Thomas write rule: the write is obsolete; drop it.
 			delete(st.writes, id)
@@ -267,7 +267,7 @@ func (m *MTStriped) Commit(txn int) error {
 				m.sched.Abort(txn, blocker)
 				lt.UnlockStripesSorted(st.stripes)
 				m.drop(txn)
-				return Abort(txn, blocker, "commit-time write validation failed")
+				return abortBy(txn, blocker, m.live(blocker), "commit-time write validation failed")
 			case core.AcceptIgnored:
 				delete(st.writes, id)
 			}

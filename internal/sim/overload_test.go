@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/sched"
 	"repro/internal/storage"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
 
@@ -65,7 +66,7 @@ func TestOverloadGoodputRetention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload sweep is seconds-long; skipped in -short")
 	}
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		// Goodput retention is a timing assertion: the race detector's
 		// ~10x slowdown moves the saturation knee and makes the fixed
 		// latency floor over-throttle the limiter. The race leg covers

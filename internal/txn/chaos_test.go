@@ -48,7 +48,7 @@ func TestUnavailableRetriesSeparateBudget(t *testing.T) {
 	if res.Attempts != 3 || res.Unavailable != 2 || res.Timeouts != 0 {
 		t.Fatalf("res = %+v", res)
 	}
-	if res.Reads["x"] != 42 {
+	if v, _ := res.Reads.Get("x"); v != 42 {
 		t.Fatalf("reads = %v", res.Reads)
 	}
 	// Each unavailability retry aborted the dead incarnation first.
@@ -112,7 +112,7 @@ func TestAttemptTimeoutAbandonsHungAttempt(t *testing.T) {
 		if res.Timeouts != 1 || res.Unavailable != 0 || res.Attempts != 2 {
 			t.Fatalf("res = %+v", res)
 		}
-		if res.Reads["x"] != 7 {
+		if v, _ := res.Reads.Get("x"); v != 7 {
 			t.Fatalf("reads = %v", res.Reads)
 		}
 	case <-time.After(10 * time.Second):

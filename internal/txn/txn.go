@@ -9,7 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -77,12 +77,73 @@ type Result struct {
 	// scheduler committed (the commit happened in memory but would not
 	// survive a crash).
 	Durable bool
-	// Reads holds the read values of the committed attempt (nil if the
+	// Reads holds the read values of the committed attempt (empty if the
 	// transaction never committed).
-	Reads map[string]int64
+	Reads ReadSet
 	// Latency is the wall time from first attempt to final outcome.
 	Latency time.Duration
 }
+
+// ReadSet is the read values of a committed attempt, item -> the last
+// value read. It is a value: the first readSetInline entries live inside
+// it, so a Result carries the reads of a short transaction without a
+// map (or anything else) allocated per commit; a transaction that read
+// more distinct items spills the rest into one slice.
+type ReadSet struct {
+	n      int
+	inline [readSetInline]readEntry
+	spill  []readEntry
+}
+
+const readSetInline = 4
+
+type readEntry struct {
+	item string
+	val  int64
+}
+
+// Get returns the value the committed attempt read for item.
+func (s ReadSet) Get(item string) (int64, bool) {
+	for _, e := range s.inline[:min(s.n, readSetInline)] {
+		if e.item == item {
+			return e.val, true
+		}
+	}
+	for _, e := range s.spill {
+		if e.item == item {
+			return e.val, true
+		}
+	}
+	return 0, false
+}
+
+// readSetOf copies an attempt's reads out of its (pooled) scratch map.
+func readSetOf(reads map[string]int64) ReadSet {
+	var s ReadSet
+	if len(reads) > readSetInline {
+		s.spill = make([]readEntry, 0, len(reads)-readSetInline)
+	}
+	for item, v := range reads {
+		if s.n < readSetInline {
+			s.inline[s.n] = readEntry{item, v}
+		} else {
+			s.spill = append(s.spill, readEntry{item, v})
+		}
+		s.n++
+	}
+	return s
+}
+
+// attemptScratch is the read bookkeeping of one ExecCtx call, recycled
+// across calls and cleared (not reallocated) between attempts.
+type attemptScratch struct {
+	reads    map[string]int64 // item -> value read; what Spec.Value sees
+	readVers map[string]int64 // item -> store version before the read (PartialRollback)
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &attemptScratch{reads: make(map[string]int64), readVers: make(map[string]int64)}
+}}
 
 // PartialRestarter is implemented by schedulers supporting the Section
 // VI-C-1 partial rollback: after a rejected operation, the scheduler
@@ -97,8 +158,10 @@ type Runtime struct {
 	Sched sched.Scheduler
 	// MaxAttempts bounds conflict-abort retries (0 = retry forever).
 	MaxAttempts int
-	// Backoff is the base sleep after an abort; attempt n sleeps
-	// Backoff * 2^min(n,6) with full jitter. Zero disables sleeping.
+	// Backoff is the base sleep after an abort; the n-th wait sleeps
+	// Backoff * 2^min(n,6) with full jitter. Zero disables sleeping. An
+	// abort whose sched.AbortError reports BlockerFinished never sleeps —
+	// there is nothing left to wait for — and does not count toward n.
 	Backoff time.Duration
 	// Think sleeps between consecutive operations of a transaction and
 	// before its commit, forcing transactions to overlap in time (the
@@ -184,6 +247,26 @@ func jitterSeed(runtimeSeed int64, id int) int64 {
 	return int64(z)
 }
 
+// jitter is the per-transaction back-off RNG: a SplitMix64 stepper held
+// by value on ExecCtx's stack and seeded from jitterSeed, so the draws
+// of a transaction are a function of (Runtime.Seed, Spec.ID) alone.
+type jitter uint64
+
+func (j *jitter) next() uint64 {
+	*j += 0x9E3779B97F4A7C15
+	z := uint64(*j)
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+// upTo draws from [0, max], max >= 0, by multiply-shift: the bias is
+// below max/2^64, nothing a back-off can see.
+func (j *jitter) upTo(max int64) int64 {
+	hi, _ := bits.Mul64(j.next(), uint64(max)+1)
+	return int64(hi)
+}
+
 // Exec runs one transaction to commit or retry exhaustion. Conflict
 // aborts (sched.ErrAbort) and unavailability (sched.ErrUnavailable,
 // attempt timeouts) are retried under separate budgets with separate
@@ -240,11 +323,12 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 			r.Admit.Done(spec.ID, res.Committed, res.Attempts, time.Since(admitted))
 		}()
 	}
-	rng := rand.New(rand.NewSource(jitterSeed(r.Seed, spec.ID)))
+	rng := jitter(jitterSeed(r.Seed, spec.ID))
+	sc := scratchPool.Get().(*attemptScratch)
+	defer func() { scratchPool.Put(sc) }()
 	resumeFrom := 0
-	var reads map[string]int64
-	var readVers map[string]int64
 	conflicts := 0 // attempts ended by ErrAbort, counted against MaxAttempts
+	waited := 0    // those of them that backed off: the back-off exponent
 	unavail := 0   // attempts ended by ErrUnavailable, separate budget
 	// expired finalizes a deadline exit: the live incarnation (if any)
 	// is aborted so the scheduler does not hold its vector forever.
@@ -265,10 +349,10 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 			}
 		}
 		if resumeFrom == 0 {
-			reads = make(map[string]int64)
-			readVers = make(map[string]int64)
+			clear(sc.reads)
+			clear(sc.readVers)
 		}
-		out := r.attemptWithTimeout(ctx, spec, resumeFrom, reads, readVers)
+		out := r.attemptWithTimeout(ctx, spec, resumeFrom, sc)
 		res.OpsExecuted += out.ops
 		res.Attempts++
 		if out.err == nil {
@@ -279,11 +363,62 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 					res.Durable = false
 				}
 			}
-			res.Reads = out.reads
+			res.Reads = readSetOf(sc.reads)
 			res.Latency = time.Since(start)
 			return res
 		}
+		if out.abandoned {
+			// The straggler goroutine still writes the old scratch: leave
+			// it to the collector and never hand it to another call.
+			sc = scratchPool.Get().(*attemptScratch)
+		}
+		// A rejection from this repository's schedulers is a bare
+		// *sched.AbortError; only a foreign wrapper needs the chain walk.
+		ae, rejected := out.err.(*sched.AbortError)
 		switch {
+		case rejected || errors.Is(out.err, sched.ErrAbort):
+			conflicts++
+			resumeFrom = 0
+			if r.PartialRollback && r.Store != nil && out.failedAt > 0 {
+				if pr, ok := r.Sched.(PartialRestarter); ok && r.tryResume(spec, out.failedAt, sc, pr) {
+					resumeFrom = out.failedAt
+					res.PartialResumes++
+				}
+			}
+			if resumeFrom == 0 {
+				r.Sched.Abort(spec.ID)
+			}
+			if r.MaxAttempts > 0 && conflicts >= r.MaxAttempts {
+				res.Latency = time.Since(start)
+				return res
+			}
+			// Waiting is for a blocker still in flight. One that had
+			// finished when it rejected us cannot change any more, and the
+			// restart already reseeded this transaction past it (Section
+			// III-D-4): retry at once.
+			blocker, wait := 0, r.Backoff
+			if rejected {
+				blocker = ae.Blocker
+				if ae.BlockerFinished {
+					wait = 0
+				}
+			}
+			if wait > 0 {
+				waited++
+			}
+			scale := 1.0
+			if r.Admit != nil {
+				scale = r.Admit.OnAbort(spec.ID, blocker)
+			}
+			// Explore instrumentation: the backoff scale the admission
+			// controller chose (scaled to ppm so zero stays exactly zero —
+			// the express-lane livelock oracle checks for it), then the
+			// restart itself as a preemption point.
+			hook.Observe("txn.backoff", "", int64(spec.ID), int64(scale*1e6))
+			hook.Yield("txn.restart", "", int64(spec.ID), int64(conflicts))
+			if err := sleepBackoff(ctx, &rng, waited, wait, scale); err != nil {
+				return expired()
+			}
 		case errors.Is(out.err, sched.ErrDeadlineExceeded):
 			return expired()
 		case errors.Is(out.err, sched.ErrUnavailable):
@@ -306,41 +441,7 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 			if base == 0 {
 				base = r.Backoff
 			}
-			if err := sleepBackoff(ctx, rng, unavail, base, 1); err != nil {
-				return expired()
-			}
-		case errors.Is(out.err, sched.ErrAbort):
-			conflicts++
-			resumeFrom = 0
-			if r.PartialRollback && r.Store != nil && out.failedAt > 0 {
-				if pr, ok := r.Sched.(PartialRestarter); ok && r.tryResume(spec, out.failedAt, reads, readVers, pr) {
-					resumeFrom = out.failedAt
-					res.PartialResumes++
-				}
-			}
-			if resumeFrom == 0 {
-				r.Sched.Abort(spec.ID)
-			}
-			if r.MaxAttempts > 0 && conflicts >= r.MaxAttempts {
-				res.Latency = time.Since(start)
-				return res
-			}
-			scale := 1.0
-			if r.Admit != nil {
-				blocker := 0
-				var ae *sched.AbortError
-				if errors.As(out.err, &ae) {
-					blocker = ae.Blocker
-				}
-				scale = r.Admit.OnAbort(spec.ID, blocker)
-			}
-			// Explore instrumentation: the backoff scale the admission
-			// controller chose (scaled to ppm so zero stays exactly zero —
-			// the express-lane livelock oracle checks for it), then the
-			// restart itself as a preemption point.
-			hook.Observe("txn.backoff", "", int64(spec.ID), int64(scale*1e6))
-			hook.Yield("txn.restart", "", int64(spec.ID), int64(conflicts))
-			if err := sleepBackoff(ctx, rng, conflicts, r.Backoff, scale); err != nil {
+			if err := sleepBackoff(ctx, &rng, unavail, base, 1); err != nil {
 				return expired()
 			}
 		default:
@@ -354,7 +455,7 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 // entirely — an aged transaction retrying immediately), scale > 1
 // widens it (storm damping, young-yields-to-old). The sleep is
 // cancellable: ctx expiry interrupts it and returns the ctx error.
-func sleepBackoff(ctx context.Context, rng *rand.Rand, n int, base time.Duration, scale float64) error {
+func sleepBackoff(ctx context.Context, rng *jitter, n int, base time.Duration, scale float64) error {
 	if base <= 0 || scale < 0 {
 		return ctx.Err()
 	}
@@ -367,7 +468,7 @@ func sleepBackoff(ctx context.Context, rng *rand.Rand, n int, base time.Duration
 		return ctx.Err()
 	}
 	max <<= shift
-	return sleepCtx(ctx, time.Duration(rng.Int63n(max+1)))
+	return sleepCtx(ctx, time.Duration(rng.upTo(max)))
 }
 
 // sleepCtx sleeps d, returning early with the ctx error when the
@@ -422,13 +523,13 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // kept reads' item versions must be unchanged (their values are still
 // current) and the scheduler must re-validate them under a reseeded
 // vector.
-func (r *Runtime) tryResume(spec Spec, failedAt int, reads, readVers map[string]int64, pr PartialRestarter) bool {
+func (r *Runtime) tryResume(spec Spec, failedAt int, sc *attemptScratch, pr PartialRestarter) bool {
 	var kept []string
 	for _, op := range spec.Ops[:failedAt] {
 		if op.Kind != oplog.Read {
 			continue
 		}
-		if r.Store.ItemVersion(op.Item) != readVers[op.Item] {
+		if r.Store.ItemVersion(op.Item) != sc.readVers[op.Item] {
 			return false // a newer committed value invalidates the kept read
 		}
 		kept = append(kept, op.Item)
@@ -436,29 +537,30 @@ func (r *Runtime) tryResume(spec Spec, failedAt int, reads, readVers map[string]
 	return pr.TryPartialRestart(spec.ID, kept)
 }
 
-// attemptOut is one attempt's outcome: the reads on success, the failing
-// op index, the number of ops issued, and the error.
+// attemptOut is one attempt's outcome: the failing op index, the number
+// of ops issued, the error, and whether the attempt was abandoned while
+// still running (its scratch then belongs to the straggler).
 type attemptOut struct {
-	reads    map[string]int64
-	failedAt int
-	ops      int
-	err      error
+	failedAt  int
+	ops       int
+	err       error
+	abandoned bool
 }
 
 // attemptWithTimeout runs one attempt, bounded by AttemptTimeout when
 // set and by the context's deadline. A timed-out or deadline-abandoned
 // attempt keeps draining in its goroutine against the scheduler (which
-// must tolerate stray operations of a dead incarnation) but its maps are
-// never reused by the caller, and its op count is lost. This abandonment
+// must tolerate stray operations of a dead incarnation) but its scratch
+// is never reused by the caller, and its op count is lost. This abandonment
 // is also what cancels an attempt blocked on a latch or lock wait: the
 // caller stops waiting even though the blocked goroutine only unwinds
 // once the latch frees.
-func (r *Runtime) attemptWithTimeout(ctx context.Context, spec Spec, resumeFrom int, reads, readVers map[string]int64) attemptOut {
+func (r *Runtime) attemptWithTimeout(ctx context.Context, spec Spec, resumeFrom int, sc *attemptScratch) attemptOut {
 	if r.AttemptTimeout <= 0 && ctx.Done() == nil {
-		return r.attempt(ctx, spec, resumeFrom, reads, readVers)
+		return r.attempt(ctx, spec, resumeFrom, sc)
 	}
 	ch := make(chan attemptOut, 1)
-	go func() { ch <- r.attempt(ctx, spec, resumeFrom, reads, readVers) }()
+	go func() { ch <- r.attempt(ctx, spec, resumeFrom, sc) }()
 	var timeout <-chan time.Time
 	if r.AttemptTimeout > 0 {
 		timer := time.NewTimer(r.AttemptTimeout)
@@ -469,7 +571,7 @@ func (r *Runtime) attemptWithTimeout(ctx context.Context, spec Spec, resumeFrom 
 	case out := <-ch:
 		return out
 	case <-timeout:
-		return attemptOut{failedAt: -1, err: errAttemptTimeout}
+		return attemptOut{failedAt: -1, err: errAttemptTimeout, abandoned: true}
 	case <-ctx.Done():
 		// Janitor: the abandoned goroutine may Begin a fresh incarnation
 		// after the caller's final Abort, leaving a live-looking entry
@@ -477,14 +579,14 @@ func (r *Runtime) attemptWithTimeout(ctx context.Context, spec Spec, resumeFrom 
 		// deadline path never reuses the id, so re-aborting once the
 		// stray drains is safe and closes the leak.
 		go func() { <-ch; r.Sched.Abort(spec.ID) }()
-		return attemptOut{failedAt: -1, err: sched.DeadlineExceeded(spec.ID, 0, "attempt abandoned")}
+		return attemptOut{failedAt: -1, err: sched.DeadlineExceeded(spec.ID, 0, "attempt abandoned"), abandoned: true}
 	}
 }
 
 // attempt runs ops[resumeFrom:] of the spec; a fresh attempt
 // (resumeFrom == 0) begins the transaction first. Think sleeps are
 // cancellable: ctx expiry fails the attempt with ErrDeadlineExceeded.
-func (r *Runtime) attempt(ctx context.Context, spec Spec, resumeFrom int, reads, readVers map[string]int64) attemptOut {
+func (r *Runtime) attempt(ctx context.Context, spec Spec, resumeFrom int, sc *attemptScratch) attemptOut {
 	out := attemptOut{failedAt: -1}
 	if resumeFrom == 0 {
 		if ctx.Err() != nil {
@@ -504,19 +606,19 @@ func (r *Runtime) attempt(ctx context.Context, spec Spec, resumeFrom int, reads,
 		out.ops++
 		if op.Kind == oplog.Read {
 			if r.Store != nil {
-				readVers[op.Item] = r.Store.ItemVersion(op.Item)
+				sc.readVers[op.Item] = r.Store.ItemVersion(op.Item)
 			}
 			v, err := r.Sched.Read(spec.ID, op.Item)
 			if err != nil {
 				out.failedAt, out.err = i, err
 				return out
 			}
-			reads[op.Item] = v
+			sc.reads[op.Item] = v
 			continue
 		}
 		var v int64
 		if spec.Value != nil {
-			v = spec.Value(op.Item, reads)
+			v = spec.Value(op.Item, sc.reads)
 		} else {
 			v = int64(spec.ID)
 		}
@@ -533,9 +635,7 @@ func (r *Runtime) attempt(ctx context.Context, spec Spec, resumeFrom int, reads,
 	}
 	if err := r.Sched.Commit(spec.ID); err != nil {
 		out.failedAt, out.err = len(spec.Ops), err
-		return out
 	}
-	out.reads = reads
 	return out
 }
 
@@ -550,24 +650,20 @@ func (r *Runtime) PoolCtx(ctx context.Context, specs []Spec, workers int) []Resu
 	if workers < 1 {
 		workers = 1
 	}
-	in := make(chan Spec)
+	in := make(chan int) // result slot = index into specs
 	out := make([]Result, len(specs))
-	idx := make(map[int]int, len(specs)) // spec id -> slot
-	for i, s := range specs {
-		idx[s.ID] = i
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for spec := range in {
-				out[idx[spec.ID]] = r.ExecCtx(ctx, spec)
+			for i := range in {
+				out[i] = r.ExecCtx(ctx, specs[i])
 			}
 		}()
 	}
-	for _, s := range specs {
-		in <- s
+	for i := range specs {
+		in <- i
 	}
 	close(in)
 	wg.Wait()

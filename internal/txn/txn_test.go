@@ -22,8 +22,11 @@ func TestExecCommits(t *testing.T) {
 	if !res.Committed || res.Attempts != 1 {
 		t.Fatalf("res = %+v", res)
 	}
-	if res.Reads["x"] != 5 {
-		t.Fatalf("read x = %d", res.Reads["x"])
+	if v, ok := res.Reads.Get("x"); !ok || v != 5 {
+		t.Fatalf("reads = %v", res.Reads)
+	}
+	if _, ok := res.Reads.Get("y"); ok {
+		t.Fatalf("reads = %v: y was written, never read", res.Reads)
 	}
 	if st.Get("y") != 1 { // default value: txn id
 		t.Fatalf("y = %d", st.Get("y"))

@@ -944,19 +944,31 @@ func BenchmarkStripedScheduler(b *testing.B) {
 // over 1024 items, immediate writes) and bank (transfers over 16
 // accounts, deferred writes) abort 0.4-0.6 times per commit even in
 // serial execution (attempts/txn), and each abort costs its
-// *sched.AbortError and nothing else.
+// *sched.AbortError and nothing else. composite runs the uniform mix on
+// MT(7⁺): the lifecycle around it is the same allocation-free adapter,
+// so its budget is what composite.Scheduler's seven string-keyed
+// sub-engines and the oplog.Op per step allocate — there so the shared
+// path cannot quietly re-grow per-family allocations.
 func BenchmarkRuntimeExec(b *testing.B) {
 	items := workload.Config{Items: 1024}.ItemNames()
-	run := func(b *testing.B, pool []txn.Spec, deferWrites bool) float64 {
+	mtStriped := func(deferWrites bool) func(*storage.Store) sched.Scheduler {
+		return func(store *storage.Store) sched.Scheduler {
+			return sched.NewMTStriped(store, sched.MTOptions{
+				Core:        engine.Options{K: 7, StarvationAvoidance: true},
+				DeferWrites: deferWrites,
+			})
+		}
+	}
+	uniform := workload.Config{
+		Txns: 4096, OpsPerTxn: 4, Items: len(items), ReadFraction: 0.7, Seed: 7,
+	}.Generate()
+	run := func(b *testing.B, pool []txn.Spec, build func(*storage.Store) sched.Scheduler) float64 {
 		store := storage.New()
 		for _, x := range items {
 			store.Set(x, 1000)
 		}
 		rt := &txn.Runtime{
-			Sched: sched.NewMTStriped(store, sched.MTOptions{
-				Core:        engine.Options{K: 7, StarvationAvoidance: true},
-				DeferWrites: deferWrites,
-			}),
+			Sched:       build(store),
 			MaxAttempts: 1000, Backoff: 20 * time.Microsecond, Seed: 1,
 		}
 		ctx := context.Background()
@@ -986,16 +998,17 @@ func BenchmarkRuntimeExec(b *testing.B) {
 	}
 	b.Run("commit", func(b *testing.B) {
 		pool := []txn.Spec{workload.Transfer(1, items[0], items[1], 1)}
-		if got := run(b, pool, true); got != 1 {
+		if got := run(b, pool, mtStriped(true)); got != 1 {
 			b.Fatalf("commit-only case retried: %.3f attempts/txn", got)
 		}
 	})
-	b.Run("uniform", func(b *testing.B) {
-		run(b, workload.Config{
-			Txns: 4096, OpsPerTxn: 4, Items: len(items), ReadFraction: 0.7, Seed: 7,
-		}.Generate(), false)
-	})
+	b.Run("uniform", func(b *testing.B) { run(b, uniform, mtStriped(false)) })
 	b.Run("bank", func(b *testing.B) {
-		run(b, workload.Transfers(4096, items[:16], 1, 7), true)
+		run(b, workload.Transfers(4096, items[:16], 1, 7), mtStriped(true))
+	})
+	b.Run("composite", func(b *testing.B) {
+		run(b, uniform, func(store *storage.Store) sched.Scheduler {
+			return sched.NewComposite(store, 7, engine.Options{StarvationAvoidance: true})
+		})
 	})
 }

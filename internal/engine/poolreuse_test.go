@@ -2,8 +2,10 @@ package engine
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -153,4 +155,40 @@ func TestPooledEntryReuseStress(t *testing.T) {
 		t.Fatal("T0 missing from snapshot")
 	}
 	t.Logf("stale lock retries caught: %d", s.StaleRetries())
+}
+
+// TestSpineGrowthIsLinear pins the transaction table's growth cost: a
+// run that keeps minting fresh transaction ids installs one chunk per
+// 256 ids, and the bytes that costs must not depend on how many chunks
+// are already there. Touching one id per chunk up to 2^22 installs 2^14
+// chunks; re-copying the whole chunk-pointer spine for each (the
+// defect this guards against) allocates ~1 GiB here, against ~35 MiB of
+// chunks plus a geometrically grown spine.
+func TestSpineGrowthIsLinear(t *testing.T) {
+	s := NewStriped(Options{K: 2})
+	const chunks = 1 << 22 >> txnChunkBits
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for c := 0; c < chunks; c++ {
+		s.Commit(c<<txnChunkBits | 1) // creates the entry, then recycles it
+	}
+	runtime.ReadMemStats(&after)
+	perChunk := (after.TotalAlloc - before.TotalAlloc) / chunks
+	if limit := uint64(2 * unsafe.Sizeof(txnChunk{})); perChunk > limit {
+		t.Fatalf("%d B allocated per installed chunk, want <= %d (spine growth is not amortized)", perChunk, limit)
+	}
+	// Out-of-order ids fill holes below the published length with a
+	// fresh copy; lookups must still find every entry afterwards.
+	h := NewStriped(Options{K: 2})
+	for _, id := range []int{5 << txnChunkBits, 1 << txnChunkBits, 3 << txnChunkBits, 0, 9 << txnChunkBits} {
+		h.entry(id)
+	}
+	for _, id := range []int{5 << txnChunkBits, 1 << txnChunkBits, 3 << txnChunkBits, 9 << txnChunkBits} {
+		if e := h.lookup(id); e == nil || e.id != id {
+			t.Fatalf("lookup(%d) = %+v after out-of-order creation", id, e)
+		}
+	}
+	if e := h.lookup(2 << txnChunkBits); e != nil {
+		t.Fatalf("lookup of a never-created id = %+v, want nil", e)
+	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -59,7 +60,8 @@ type Striped struct {
 	nshift  uint // log2(stripe count): id >> nshift is the in-stripe index
 
 	// tmu serializes txn-table growth and slot publication (create is
-	// the only writer); lookups are lock-free loads of the spine. tmu
+	// the only writer); lookups are lock-free loads of the spine, whose
+	// published header only ever grows (see growSpine). tmu
 	// orders BEFORE the per-entry locks: create initializes a pooled
 	// entry under its lock while holding tmu, and no path acquires tmu
 	// while holding an entry lock (reclamation clears slots with a CAS,
@@ -222,9 +224,6 @@ func (s *Striped) K() int { return s.k }
 // global mutex).
 func (s *Striped) Latches() *core.LatchTable { return s.latches }
 
-// Interner exposes the item-intern table backing this scheduler.
-func (s *Striped) Interner() *intern.Table { return s.names }
-
 // ItemID interns item and returns its dense id (the key for the *ID
 // fast-path methods; also a valid index into the shared store when the
 // scheduler was built with NewStripedInterned).
@@ -261,9 +260,8 @@ func (s *Striped) entry(id int) *txnEntry {
 	return s.create(id)
 }
 
-// create publishes an entry for id under tmu. The spine is
-// copy-on-write: chunks are installed by publishing a new chunk-pointer
-// slice, so lock-free lookups only ever see immutable slices.
+// create publishes an entry for id under tmu, installing its chunk
+// first when the spine has none there yet.
 func (s *Striped) create(id int) *txnEntry {
 	if id < 0 {
 		panic("engine: negative transaction id")
@@ -276,17 +274,7 @@ func (s *Striped) create(id int) *txnEntry {
 		chunks = *sp
 	}
 	if hi >= len(chunks) || chunks[hi] == nil {
-		n := len(chunks)
-		if hi+1 > n {
-			n = hi + 1
-		}
-		grown := make([]*txnChunk, n)
-		copy(grown, chunks)
-		if grown[hi] == nil {
-			grown[hi] = &txnChunk{}
-		}
-		s.spine.Store(&grown)
-		chunks = grown
+		chunks = s.growSpine(chunks, hi)
 	}
 	slot := &chunks[hi].slots[id&txnChunkMask]
 	if e := slot.Load(); e != nil && !e.dead.Load() {
@@ -310,6 +298,30 @@ func (s *Striped) create(id int) *txnEntry {
 	slot.Store(e)
 	s.live.Add(1)
 	return e
+}
+
+// growSpine publishes a spine with a fresh chunk at index hi (tmu
+// held). Lookups only index below the length of the header they
+// loaded, so past the published length the spare capacity is written
+// in place and a longer header published over it (as intern.Table
+// publishes names), the array doubling when it runs out: minting ids
+// costs amortized O(1) per chunk, not a copy of the whole spine. Only a
+// hole below the published length (ids first used out of order) takes
+// a fresh copy — a lookup may be reading that slot right now.
+func (s *Striped) growSpine(chunks []*txnChunk, hi int) []*txnChunk {
+	switch {
+	case hi < len(chunks):
+		chunks = slices.Clone(chunks)
+	case hi < cap(chunks):
+		chunks = chunks[:hi+1]
+	default:
+		grown := make([]*txnChunk, hi+1, max(2*cap(chunks), hi+1))
+		copy(grown, chunks)
+		chunks = grown
+	}
+	chunks[hi] = &txnChunk{}
+	s.spine.Store(&chunks)
+	return chunks
 }
 
 // lockTxns locks the entries for ids[:n] in ascending id order (ids
@@ -360,17 +372,12 @@ retry:
 
 // Step schedules one atomic operation, acquiring the items' latches
 // itself. Multi-item operations process their items in order; the
-// first rejecting item rejects the whole operation.
+// first rejecting item rejects the whole operation. The runtime
+// adapter, which keeps an item's latch held across the data access the
+// step orders, uses StepReadID / StepWriteID instead.
 func (s *Striped) Step(op oplog.Op) core.Decision {
 	unlock := s.latches.Lock(op.Items...)
 	defer unlock()
-	return s.StepLocked(op)
-}
-
-// StepLocked is Step for callers that already hold the latches
-// covering op.Items (the runtime adapter, which keeps them held across
-// the subsequent data access).
-func (s *Striped) StepLocked(op oplog.Op) core.Decision {
 	var ignored []string
 	d := core.Decision{Op: op, Verdict: core.Accept}
 	for _, x := range op.Items {
@@ -402,7 +409,7 @@ func (s *Striped) StepLocked(op oplog.Op) core.Decision {
 
 // StepReadID runs the read arm of Algorithm 1 for one interned item,
 // with the item's latch held by the caller: the single-item fast path
-// of StepLocked(oplog.R(txn, item)) with identical decision,
+// of Step(oplog.R(txn, item)) with identical decision,
 // observation and OnDecision behavior, but no Op construction —
 // allocation-free on the steady path.
 func (s *Striped) StepReadID(txn int, id int32) (core.Verdict, int) {
@@ -418,7 +425,7 @@ func (s *Striped) StepWriteID(txn int, id int32) (core.Verdict, int) {
 	return v, blocker
 }
 
-// observe emits the decision exactly as StepLocked would for the
+// observe emits the decision exactly as Step would for the
 // single-item op: the explore-harness stamp first (the parity oracle's
 // linearization point, still under the item latch), then OnDecision.
 // The Decision value is only materialized when someone is listening.
@@ -661,11 +668,10 @@ func (s *Striped) Abort(i, blocker int) {
 	if i == 0 {
 		return
 	}
+	var lt lockedTxns
 	if s.opts.StarvationAvoidance && blocker != 0 {
-		var lt lockedTxns
 		s.lockTxns(&lt, [3]int{i, blocker, 0}, 2)
-		b := lt.get(blocker).vec.Elem(1)
-		if b.Defined {
+		if b := lt.get(blocker).vec.Elem(1); b.Defined {
 			seed := s.reseedFirst(i, lt.get(i), b.V)
 			lt.unlock()
 			if s.opts.Trace != nil {
@@ -673,18 +679,13 @@ func (s *Striped) Abort(i, blocker int) {
 			}
 			return
 		}
-		e := lt.get(i)
-		e.done = true
-		s.maybeReclaim(i, e)
-		lt.unlock()
-		return
+	} else {
+		s.lockTxns(&lt, [3]int{i, 0, 0}, 1)
 	}
-	var lt lockedTxns
-	s.lockTxns(&lt, [3]int{i, 0, 0}, 1)
-	defer lt.unlock()
 	e := lt.get(i)
 	e.done = true
 	s.maybeReclaim(i, e)
+	lt.unlock()
 }
 
 // reseedFirst mirrors VectorTable.ReseedFirst under the entry lock.
@@ -714,17 +715,12 @@ func (s *Striped) wtOf(id int32) int {
 	return st.wt[li]
 }
 
-// ReadPendingWriter supports the runtime adapter's immediate-mode
-// check ("read ordered after uncommitted writer"): with x's latch HELD
-// by the caller, it reports whether x's most recent writer w (≠ i) is
-// live per the callback and TS(i) < TS(w) is NOT established — the
-// lost-update window the adapter must abort. The callback must not
-// call back into this scheduler.
-func (s *Striped) ReadPendingWriter(i int, x string, live func(int) bool) (blocker int, conflict bool) {
-	return s.ReadPendingWriterID(i, s.names.ID(x), live)
-}
-
-// ReadPendingWriterID is ReadPendingWriter keyed by interned item id.
+// ReadPendingWriterID supports the runtime adapter's immediate-mode
+// check ("read ordered after uncommitted writer"): with the item's
+// latch HELD by the caller, it reports whether the item's most recent
+// writer w (≠ i) is live per the callback and TS(i) < TS(w) is NOT
+// established — the lost-update window the adapter must abort. The
+// callback must not call back into this scheduler.
 func (s *Striped) ReadPendingWriterID(i int, id int32, live func(int) bool) (blocker int, conflict bool) {
 	w := s.wtOf(id)
 	if w == i || !live(w) {
@@ -739,19 +735,14 @@ func (s *Striped) ReadPendingWriterID(i int, id int32, live func(int) bool) (blo
 	return 0, false
 }
 
-// WritePendingWriter supports the runtime adapter's immediate-mode
-// write guard: with x's latch HELD by the caller, it reports whether
-// x's most recent writer w (≠ i) is still live per the callback. Two
-// uncommitted accepted writes on one item are unpublishable under the
-// publish-at-commit discipline — whichever commit order occurs, one of
-// the two inverts the decided write order — so the adapter aborts the
-// second writer regardless of how the vectors compare. The callback
-// must not call back into this scheduler.
-func (s *Striped) WritePendingWriter(i int, x string, live func(int) bool) (blocker int, conflict bool) {
-	return s.WritePendingWriterID(i, s.names.ID(x), live)
-}
-
-// WritePendingWriterID is WritePendingWriter keyed by interned item id.
+// WritePendingWriterID supports the runtime adapter's immediate-mode
+// write guard: with the item's latch HELD by the caller, it reports
+// whether the item's most recent writer w (≠ i) is still live per the
+// callback. Two uncommitted accepted writes on one item are
+// unpublishable under the publish-at-commit discipline — whichever
+// commit order occurs, one of the two inverts the decided write order
+// — so the adapter aborts the second writer regardless of how the
+// vectors compare. The callback must not call back into this scheduler.
 func (s *Striped) WritePendingWriterID(i int, id int32, live func(int) bool) (blocker int, conflict bool) {
 	w := s.wtOf(id)
 	if w == 0 || w == i || !live(w) {
@@ -792,19 +783,6 @@ func (s *Striped) WT(x string) int {
 	defer s.latches.UnlockStripe(i)
 	return s.wtOf(id)
 }
-
-// Counters returns the current (lcount, ucount) pair.
-func (s *Striped) Counters() (lo, hi int64) {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	return s.counters.Counters()
-}
-
-// SeedCounters raises the counters to at least the given consumption
-// watermarks in one atomic clamp; it is RaiseWatermarks under its
-// historical name (the striped analogue of the coarse adapter's
-// read-modify-write under its global mutex).
-func (s *Striped) SeedCounters(lo, hi int64) { s.RaiseWatermarks(lo, hi) }
 
 // Watermarks returns the monotone counter-consumption watermarks the
 // WAL journals.

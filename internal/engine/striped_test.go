@@ -104,8 +104,8 @@ func runStripedDiff(t *testing.T, opts Options, seed int64) {
 		}
 		t.Fatalf("traces differ")
 	}
-	cl, cu := coarse.Counters()
-	sl, su := striped.Counters()
+	cl, cu := coarse.Watermarks()
+	sl, su := striped.Watermarks()
 	if cl != sl || cu != su {
 		t.Fatalf("counters: coarse (%d,%d) striped (%d,%d)", cl, cu, sl, su)
 	}

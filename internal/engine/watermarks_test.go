@@ -8,18 +8,23 @@ import (
 )
 
 // TestEveryDisciplineExportsWatermarks is the regression guard for the
-// engine's durability contract: every Engine instantiation must export
-// monotone counter-consumption watermarks and honour raise-only
-// seeding, so a new discipline (or a new adapter built on one) cannot
-// ship without the WAL hooks the durable runtime relies on.
+// engine's durability contract: every engine instantiation (the coarse
+// Scheduler and the fine-grained Striped) must export monotone
+// counter-consumption watermarks and honour raise-only seeding, so a
+// new discipline (or a new adapter built on one) cannot ship without
+// the WAL hooks the durable runtime relies on.
 func TestEveryDisciplineExportsWatermarks(t *testing.T) {
-	for _, d := range []Discipline{Coarse, StripedLocks} {
-		name := "coarse"
-		if d == StripedLocks {
-			name = "striped"
-		}
+	type watermarked interface {
+		Step(op oplog.Op) core.Decision
+		Watermarks() (lo, hi int64)
+		RaiseWatermarks(lo, hi int64)
+	}
+	for name, build := range map[string]func(Options) watermarked{
+		"coarse":  func(o Options) watermarked { return NewScheduler(o) },
+		"striped": func(o Options) watermarked { return NewStriped(o) },
+	} {
 		t.Run(name, func(t *testing.T) {
-			e := New(Options{K: 1}, d)
+			e := build(Options{K: 1})
 			if lo, hi := e.Watermarks(); lo != 0 || hi != 1 {
 				t.Fatalf("fresh watermarks = (%d,%d), want (0,1)", lo, hi)
 			}

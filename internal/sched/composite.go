@@ -1,0 +1,126 @@
+package sched
+
+import (
+	"fmt"
+
+	"repro/internal/composite"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/oplog"
+	"repro/internal/storage"
+)
+
+// lifecycle is what a family shell wraps: the shared adapter, or the
+// MT reference for the coarse variant.
+type lifecycle interface {
+	Scheduler
+	DurableCounters
+}
+
+// Composite is MT(k⁺) at runtime (deferred writes): the composite
+// protocol with Algorithm 2 step 4's epoch restart, under the shared
+// adapter (NewComposite) or the coarse reference (NewCompositeCoarse).
+//
+// Composite's aborts name no blocker — a reject means every
+// subprotocol stopped, not that one transaction stood in the way — so
+// AbortError.BlockerFinished stays false and the runtime keeps its
+// jittered wait after them.
+type Composite struct {
+	lifecycle
+	proto *epochComposite
+}
+
+// NewComposite returns an MT(k⁺) runtime scheduler on the production
+// path: item latches let storage accesses on disjoint items overlap.
+func NewComposite(store *storage.Store, k int, sub engine.Options) *Composite {
+	p := newEpochComposite(k, sub)
+	return &Composite{newSerialAdapter(store, compositeFamily(k, ""), p), p}
+}
+
+// NewCompositeCoarse returns MT(k⁺) under the coarse reference
+// lifecycle: every store access runs under the protocol mutex. It is
+// the differential reference NewComposite is checked against.
+func NewCompositeCoarse(store *storage.Store, k int, sub engine.Options) *Composite {
+	p := newEpochComposite(k, sub)
+	return &Composite{newReference(store, compositeFamily(k, "/coarse"), p), p}
+}
+
+func compositeFamily(k int, variant string) family {
+	return family{
+		name:     fmt.Sprintf("MT(%d+)%s", k, variant),
+		deferred: true,
+		rejected: "all subprotocols stopped",
+	}
+}
+
+// Protocol exposes the current composite scheduler (tests and
+// diagnostics; epoch restarts swap it, so quiesce before calling).
+func (c *Composite) Protocol() *composite.Scheduler { return c.proto.cur }
+
+// epochComposite is composite.Scheduler as a protocol, plus Algorithm 2
+// step 4: when every subprotocol has stopped, all active transactions
+// abort and the composite machinery restarts fresh (a new epoch). A
+// transaction belongs to the epoch of its first step; once that epoch
+// is over every further step of it is rejected, until its Commit or
+// Abort retires it. (One that validated everything before the restart
+// still commits: it holds its write set's latches, so every conflicting
+// operation of the new epoch is ordered after its publish.)
+type epochComposite struct {
+	opts  composite.Options
+	cur   *composite.Scheduler
+	epoch uint64
+	born  map[int]uint64 // epoch of each stepped, unfinished transaction
+}
+
+func newEpochComposite(k int, sub engine.Options) *epochComposite {
+	opts := composite.Options{K: k, Sub: sub}
+	return &epochComposite{opts: opts, cur: composite.NewScheduler(opts), born: make(map[int]uint64)}
+}
+
+// Step implements protocol. A composite reject names no blocker.
+func (c *epochComposite) Step(op oplog.Op) core.Decision {
+	if e, stepped := c.born[op.Txn]; !stepped {
+		c.born[op.Txn] = c.epoch
+	} else if e != c.epoch {
+		return core.Decision{Op: op, Verdict: core.Reject}
+	}
+	if c.cur.Step(op).Verdict == core.Reject {
+		// All subprotocols stopped: restart (Algorithm 2 step 4-i). The
+		// transactions of the old epoch abort at their next step.
+		c.epoch++
+		c.cur = composite.NewScheduler(c.opts)
+		return core.Decision{Op: op, Verdict: core.Reject}
+	}
+	return core.Decision{Op: op, Verdict: core.Accept}
+}
+
+// retire forgets txn and reports whether the current scheduler knows
+// it (it stepped in this epoch).
+func (c *epochComposite) retire(txn int) bool {
+	e, stepped := c.born[txn]
+	delete(c.born, txn)
+	return stepped && e == c.epoch
+}
+
+// Commit implements protocol.
+func (c *epochComposite) Commit(txn int) {
+	if c.retire(txn) {
+		c.cur.Commit(txn)
+	}
+}
+
+// Abort implements protocol.
+func (c *epochComposite) Abort(txn, blocker int) {
+	if c.retire(txn) {
+		c.cur.Abort(txn, blocker)
+	}
+}
+
+// Watermarks implements protocol. An epoch restart replaces the
+// subprotocols with fresh counters, so the instantaneous max can drop —
+// the log writer's monotone clamp keeps the persisted watermarks valid
+// (they stay at the all-time max, which is exactly the safe seed).
+func (c *epochComposite) Watermarks() (lo, hi int64) { return c.cur.Watermarks() }
+
+// RaiseWatermarks implements protocol.
+func (c *epochComposite) RaiseWatermarks(lo, hi int64) { c.cur.RaiseWatermarks(lo, hi) }

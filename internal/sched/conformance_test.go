@@ -1,0 +1,140 @@
+package sched_test
+
+import (
+	"errors"
+	"sync"
+	"testing"
+
+	"repro/internal/dmt"
+	"repro/internal/engine"
+	"repro/internal/sched"
+	"repro/internal/storage"
+)
+
+// TestStrayAttemptContract pins the contract txn.Runtime relies on: an
+// attempt abandoned by a timeout or deadline leaves a straggler
+// goroutine behind, so a scheduler sees operations on transactions
+// that never began, were already aborted, or were re-begun meanwhile.
+// No engine-backed scheduler may panic on such a sequence; an
+// operation on a dead incarnation is answered with a plain abort that
+// names no blocker. One table over every constructor of the package,
+// so a new family (or lifecycle) cannot ship without it.
+func TestStrayAttemptContract(t *testing.T) {
+	mt := func(deferred bool) sched.MTOptions {
+		return sched.MTOptions{Core: engine.Options{K: 2, StarvationAvoidance: true}, DeferWrites: deferred}
+	}
+	builds := []struct {
+		name  string
+		build func(*storage.Store) sched.Scheduler
+		// lateCommitSilent: DMT answers a commit on a dead incarnation
+		// with a no-op success (sched/dmt.go forwards it to the cluster,
+		// which has nothing to publish) rather than an abort.
+		lateCommitSilent bool
+	}{
+		{"mt", func(s *storage.Store) sched.Scheduler { return sched.NewMT(s, mt(false)) }, false},
+		{"mt-deferred", func(s *storage.Store) sched.Scheduler { return sched.NewMT(s, mt(true)) }, false},
+		{"striped-immediate", func(s *storage.Store) sched.Scheduler { return sched.NewMTStriped(s, mt(false)) }, false},
+		{"striped-deferred", func(s *storage.Store) sched.Scheduler { return sched.NewMTStriped(s, mt(true)) }, false},
+		{"composite", func(s *storage.Store) sched.Scheduler { return sched.NewComposite(s, 2, engine.Options{}) }, false},
+		{"composite-coarse", func(s *storage.Store) sched.Scheduler { return sched.NewCompositeCoarse(s, 2, engine.Options{}) }, false},
+		{"nested", func(s *storage.Store) sched.Scheduler {
+			return sched.NewNested(s, sched.NestedOptions{Ks: []int{2, 2}})
+		}, false},
+		{"nested-coarse", func(s *storage.Store) sched.Scheduler {
+			return sched.NewNested(s, sched.NestedOptions{Ks: []int{2, 2}, Coarse: true})
+		}, false},
+		{"dmt", func(s *storage.Store) sched.Scheduler { return sched.NewDMT(s, dmt.Options{K: 2, Sites: 2}) }, true},
+		{"dmt-coarse", func(s *storage.Store) sched.Scheduler {
+			return sched.NewDMTCoarse(s, dmt.Options{K: 2, Sites: 2})
+		}, true},
+	}
+	for _, b := range builds {
+		t.Run(b.name, func(t *testing.T) {
+			store := storage.New()
+			s := b.build(store)
+			plainAbort := func(what string, err error) {
+				t.Helper()
+				var ae *sched.AbortError
+				if !errors.As(err, &ae) || ae.Blocker != 0 || ae.BlockerFinished {
+					t.Fatalf("%s: %v, want a plain *sched.AbortError naming no blocker", what, err)
+				}
+			}
+			strayOps := func(stage string, txn int) {
+				t.Helper()
+				_, err := s.Read(txn, "x")
+				plainAbort("read "+stage, err)
+				plainAbort("write "+stage, s.Write(txn, "x", 1))
+				if err := s.Commit(txn); err != nil || !b.lateCommitSilent {
+					plainAbort("commit "+stage, err)
+				}
+			}
+			// Operation without Begin.
+			strayOps("without Begin", 1)
+			s.Abort(1) // the runtime still aborts after the failed attempt
+
+			// Operation, then commit, after Abort — and a second Abort.
+			s.Begin(2)
+			if _, err := s.Read(2, "x"); err != nil {
+				t.Fatalf("live read: %v", err)
+			}
+			if err := s.Write(2, "y", 2); err != nil {
+				t.Fatalf("live write: %v", err)
+			}
+			s.Abort(2)
+			strayOps("after Abort", 2)
+			s.Abort(2)
+			s.Abort(2)
+			if got := store.Get("y"); got != 0 {
+				t.Fatalf("aborted write published: y = %d", got)
+			}
+
+			// Abort, then re-begin under the same id: the new incarnation
+			// runs to commit and publishes.
+			s.Begin(2)
+			if _, err := s.Read(2, "x"); err != nil {
+				t.Fatalf("re-begun read: %v", err)
+			}
+			if err := s.Write(2, "y", 7); err != nil {
+				t.Fatalf("re-begun write: %v", err)
+			}
+			if err := s.Commit(2); err != nil {
+				t.Fatalf("re-begun commit: %v", err)
+			}
+			if got := store.Get("y"); got != 7 {
+				t.Fatalf("y = %d after the re-begun incarnation committed, want 7", got)
+			}
+			strayOps("after Commit", 2)
+
+			// A straggler racing the live retry loop: whatever it meets —
+			// no incarnation, the old one, the new one — it gets a value
+			// or an abort, never a panic (and, under -race, no data race).
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					var err error
+					switch i % 3 {
+					case 0:
+						_, err = s.Read(3, "z")
+					case 1:
+						err = s.Write(3, "z", int64(i))
+					default:
+						err = s.Commit(3)
+					}
+					if err != nil && !errors.Is(err, sched.ErrAbort) {
+						t.Errorf("straggler op %d: %v, want nil or an abort", i, err)
+						return
+					}
+				}
+			}()
+			for i := 0; i < 100; i++ {
+				s.Begin(3)
+				s.Read(3, "z")
+				s.Abort(3)
+			}
+			wg.Wait()
+			s.Abort(3)
+		})
+	}
+}

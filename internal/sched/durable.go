@@ -12,45 +12,19 @@ package sched
 // non-decreasing over a scheduler's lifetime (schedulers whose raw
 // counters run downward, like MT's lcount, negate them). Every engine
 // instantiation exports the pair via Watermarks/RaiseWatermarks, so
-// the adapters below are pure delegations — there is no per-adapter
-// watermark arithmetic left to get wrong.
+// each lifecycle implements this once, as a pure delegation to its
+// protocol — there is no per-family watermark arithmetic left to get
+// wrong.
 type DurableCounters interface {
 	// WALCounters returns the current (lower, upper) consumption
 	// watermarks. It is called from the store's journal hook — i.e.
-	// under the store mutex inside the scheduler's own Commit, where
-	// the scheduler mutex is already held by the calling goroutine —
-	// so implementations must NOT re-acquire their own mutex.
+	// under the store mutex inside the scheduler's own Commit — so it
+	// must not take a lock the committing goroutine may hold there (the
+	// reference lifecycle's global mutex).
 	WALCounters() (lo, hi int64)
 	// SeedWALCounters restarts the scheduler at or above the recovered
 	// watermarks. Call before traffic flows; raising, never lowering.
 	SeedWALCounters(lo, hi int64)
-}
-
-// WALCounters implements DurableCounters. The coarse engine's
-// Watermarks takes no lock (the journal hook runs inside the
-// adapter's own critical section).
-func (m *MT) WALCounters() (lo, hi int64) { return m.sched.Watermarks() }
-
-// SeedWALCounters implements DurableCounters.
-func (m *MT) SeedWALCounters(lo, hi int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sched.RaiseWatermarks(lo, hi)
-}
-
-// WALCounters implements DurableCounters: the max over the
-// subprotocols' engine watermarks. An epoch restart replaces the
-// subprotocols with fresh counters, so the instantaneous max can drop
-// — the log writer's monotone clamp keeps the persisted watermarks
-// valid (they simply stay at the all-time max, which is exactly the
-// safe seed).
-func (c *Composite) WALCounters() (lo, hi int64) { return c.sched.Watermarks() }
-
-// SeedWALCounters implements DurableCounters.
-func (c *Composite) SeedWALCounters(lo, hi int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sched.RaiseWatermarks(lo, hi)
 }
 
 // WALCounters implements DurableCounters. The cluster takes its own
@@ -60,14 +34,3 @@ func (d *DMT) WALCounters() (lo, hi int64) { return d.cluster.Counters() }
 
 // SeedWALCounters implements DurableCounters.
 func (d *DMT) SeedWALCounters(lo, hi int64) { d.cluster.RaiseCounters(lo, hi) }
-
-// WALCounters implements DurableCounters: the max over the hierarchy
-// levels' table watermarks.
-func (n *Nested) WALCounters() (lo, hi int64) { return n.sched.Watermarks() }
-
-// SeedWALCounters implements DurableCounters.
-func (n *Nested) SeedWALCounters(lo, hi int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.sched.RaiseWatermarks(lo, hi)
-}

@@ -53,6 +53,19 @@ func TestMTNames(t *testing.T) {
 	if got := NewComposite(st, 2, engine.Options{}).Name(); got != "MT(2+)" {
 		t.Fatalf("Name = %q", got)
 	}
+	// The shells name the family and the lifecycle variant, whichever
+	// lifecycle they wrap.
+	for want, s := range map[string]Scheduler{
+		"MT(3)/striped/deferred": NewMTStriped(st, MTOptions{Core: engine.Options{K: 3}, DeferWrites: true}),
+		"MT(3)/striped/mono":     NewMTStriped(st, MTOptions{Core: engine.Options{K: 3, MonotonicEncoding: true}}),
+		"MT(3+)/coarse":          NewCompositeCoarse(st, 3, engine.Options{}),
+		"MT(2,2)":                NewNested(st, NestedOptions{Ks: []int{2, 2}}),
+		"MT(2,3)/coarse":         NewNested(st, NestedOptions{Ks: []int{2, 3}, Coarse: true}),
+	} {
+		if got := s.Name(); got != want {
+			t.Fatalf("Name = %q, want %q", got, want)
+		}
+	}
 }
 
 func TestMTImmediateRejectsConflictingWrite(t *testing.T) {

@@ -1,8 +1,7 @@
 package sched
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -11,17 +10,48 @@ import (
 	"repro/internal/storage"
 )
 
-// MTStriped adapts the fine-grained-locking engine.Striped scheduler to
-// the runtime Scheduler interface. It is decision-for-decision
-// equivalent to MT (the coarse global-mutex adapter, retained as the
-// differential reference) but operations on disjoint items from
-// different transactions run concurrently.
+// kernel is the protocol under the adapter, in id form: the part of an
+// MT-family scheduler that differs between families — how Set(j, i)
+// encodes a dependency — behind the one surface the transaction
+// lifecycle needs. It must be safe for concurrent use; the adapter
+// holds the item's latch around every step. engine.Striped satisfies
+// it as is; the unsynchronised protocols sit behind serial.
+type kernel interface {
+	// The step methods run one arm of the scheduler procedure for an
+	// interned item; on Reject the int names the blocker (0 for nobody).
+	StepReadID(txn int, id int32) (core.Verdict, int)
+	StepWriteID(txn int, id int32) (core.Verdict, int)
+	// Commit and Abort end the transaction's protocol state; blocker is
+	// the one a rejected step returned (0 for any other cause).
+	Commit(txn int)
+	Abort(txn, blocker int)
+	// The durable-counter export every engine instantiation carries.
+	Watermarks() (lo, hi int64)
+	RaiseWatermarks(lo, hi int64)
+}
+
+// pendingWriters is what a kernel adds to be offered in immediate mode:
+// the probes behind the two uncommitted-writer guards, asked with the
+// item's latch held. Only engine.Striped has them.
+type pendingWriters interface {
+	ReadPendingWriterID(txn int, id int32, live func(int) bool) (blocker int, conflict bool)
+	WritePendingWriterID(txn int, id int32, live func(int) bool) (blocker int, conflict bool)
+}
+
+// adapter is the production transaction lifecycle, written once for
+// every MT family: buffer writes, validate through the kernel, publish
+// atomically at commit, never expose dirty data (Section VI-C-2). It is
+// decision-for-decision equivalent to MT (the coarse global-mutex
+// lifecycle, retained as the differential reference) over the same
+// protocol, but operations on disjoint items from different
+// transactions run concurrently.
 //
-// The adapter shares the store's item-intern table with the engine, so
-// an operation interns its item once and then runs the id-indexed fast
-// path end to end — stripe lookup, protocol step, store access — with
-// no string hashing and no allocation in the steady state (the alloc
-// gate holds BenchmarkStripedScheduler's step path at 0 allocs/op).
+// Its latch table stripes by the store's interned item ids, so an
+// operation interns its item once and then runs the id-indexed path end
+// to end — stripe lookup, protocol step, store access — with no string
+// hashing and, on the striped engine, no allocation in the steady state
+// (the alloc gate holds BenchmarkStripedScheduler's step path at 0
+// allocs/op).
 //
 // Lock order, outermost first:
 //
@@ -29,28 +59,31 @@ import (
 //     lock per live transaction, so two incarnations of the same id (a
 //     live retry plus a stray abandoned-timeout goroutine) serialize
 //     while unrelated transactions never meet;
-//  2. the core latch table's item stripes (ascending stripe order),
-//     held across the protocol step AND the data access it orders —
-//     the atomicity the coarse adapter gets from its global mutex: a
-//     read's store.Get happens under the same latch as its accept, and
-//     a commit holds its write set's latches from (deferred-mode)
-//     validation through ApplyTxn, so no operation can slot between a
-//     decision and the data state it was decided against;
-//  3. the striped core's transaction-entry and counter locks;
+//  2. the latch table's item stripes (ascending stripe order), held
+//     across the protocol step AND the data access it orders — the
+//     atomicity the reference gets from its global mutex: a read's
+//     store.Get happens under the same latch as its accept, and a
+//     commit holds its write set's latches from (deferred-mode)
+//     validation through ApplyTxnIDs, so no operation can slot between
+//     a decision and the data state it was decided against;
+//  3. the kernel's own locks (the striped engine's transaction-entry
+//     and counter locks; the serial wrapper's mutex);
 //  4. the store's shard locks and commit mutex (the WAL group-commit
 //     path stays the only global ordering point).
 //
 // The adapter's transaction map lock (tmu) is a leaf: it is never held
 // while acquiring any of the above.
-type MTStriped struct {
-	opts   MTOptions
-	sched  *engine.Striped
+type adapter struct {
+	family
+	k      kernel
+	probe  pendingWriters // k again, for immediate mode; nil when deferred
+	lt     *core.LatchTable
 	store  *storage.Store
-	liveFn func(int) bool // m.live, bound once (no per-call closure)
+	liveFn func(int) bool // a.live, bound once (no per-call closure)
 
 	tmu  sync.RWMutex
-	txns map[int]*stripedTxnState
-	pool sync.Pool // *stripedTxnState, recycled across transactions
+	txns map[int]*txnState
+	pool sync.Pool // *txnState, recycled across transactions
 
 	// unsafePublish reintroduces the PR 5 deferred-mode publish
 	// inversion for the schedule explorer's seeded-bug tests: commit
@@ -60,11 +93,11 @@ type MTStriped struct {
 	unsafePublish bool
 }
 
-// stripedTxnState is the runtime state of one live transaction,
-// guarded by its own lock. States are pooled: drop returns them, Begin
-// recycles them, and every lock of a possibly-stale pointer re-checks
-// identity against the transaction map afterwards (see lockState).
-type stripedTxnState struct {
+// txnState is the runtime state of one live transaction, guarded by
+// its own lock. States are pooled: drop returns them, Begin recycles
+// them, and every lock of a possibly-stale pointer re-checks identity
+// against the transaction map afterwards (see lockState).
+type txnState struct {
 	mu      sync.Mutex
 	writes  map[int32]int64
 	order   []int32 // write order, for deterministic commit validation
@@ -75,37 +108,23 @@ type stripedTxnState struct {
 	vals    []int64
 }
 
-// NewMTStriped returns a striped MT(k)-family runtime scheduler over
-// the store. The engine shares the store's intern table.
-func NewMTStriped(store *storage.Store, opts MTOptions) *MTStriped {
-	m := &MTStriped{
-		opts:  opts,
-		sched: engine.NewStripedInterned(opts.Core, store.Interner()),
-		store: store,
-		txns:  make(map[int]*stripedTxnState),
+// newAdapter wraps the lifecycle around k; lt must stripe by the
+// store's interned item ids.
+func newAdapter(store *storage.Store, f family, k kernel, lt *core.LatchTable) *adapter {
+	a := &adapter{family: f, k: k, lt: lt, store: store, txns: make(map[int]*txnState)}
+	if !f.deferred {
+		a.probe = k.(pendingWriters)
 	}
-	m.liveFn = m.live
-	m.pool.New = func() any {
-		return &stripedTxnState{writes: make(map[int32]int64)}
+	a.liveFn = a.live
+	a.pool.New = func() any {
+		return &txnState{writes: make(map[int32]int64)}
 	}
-	return m
-}
-
-// Name implements Scheduler.
-func (m *MTStriped) Name() string {
-	name := fmt.Sprintf("MT(%d)/striped", m.opts.Core.K)
-	if m.opts.Core.MonotonicEncoding {
-		name += "/mono"
-	}
-	if m.opts.DeferWrites {
-		name += "/deferred"
-	}
-	return name
+	return a
 }
 
 // Begin implements Scheduler.
-func (m *MTStriped) Begin(txn int) {
-	st := m.pool.Get().(*stripedTxnState)
+func (a *adapter) Begin(txn int) {
+	st := a.pool.Get().(*txnState)
 	// Re-initialize under the state lock: the previous incarnation's
 	// dropper may still hold it (drop runs before a deferred unlock),
 	// and a straggler holding a stale pointer may lock it to run its
@@ -115,30 +134,29 @@ func (m *MTStriped) Begin(txn int) {
 	st.order = st.order[:0]
 	st.blocker = 0
 	st.mu.Unlock()
-	m.tmu.Lock()
-	m.txns[txn] = st
-	m.tmu.Unlock()
+	a.tmu.Lock()
+	a.txns[txn] = st
+	a.tmu.Unlock()
 }
 
 // lockState returns txn's live state with its lock held, or nil if the
-// transaction has no live incarnation (never began, or was aborted by
-// a deadline-expired runtime attempt whose straggler operation arrives
-// late — such strays get a plain abort). Because states are pooled,
-// the identity is re-checked after locking: if the state was dropped
-// and recycled for another transaction between lookup and lock, the
-// map no longer points at it for txn and the lookup retries.
-func (m *MTStriped) lockState(txn int) *stripedTxnState {
+// transaction has no live incarnation (see noIncarnation). Because
+// states are pooled, the identity is re-checked after locking: if the
+// state was dropped and recycled for another transaction between lookup
+// and lock, the map no longer points at it for txn and the lookup
+// retries.
+func (a *adapter) lockState(txn int) *txnState {
 	for {
-		m.tmu.RLock()
-		st := m.txns[txn]
-		m.tmu.RUnlock()
+		a.tmu.RLock()
+		st := a.txns[txn]
+		a.tmu.RUnlock()
 		if st == nil {
 			return nil
 		}
 		st.mu.Lock()
-		m.tmu.RLock()
-		cur := m.txns[txn]
-		m.tmu.RUnlock()
+		a.tmu.RLock()
+		cur := a.txns[txn]
+		a.tmu.RUnlock()
 		if cur == st {
 			return st
 		}
@@ -146,13 +164,13 @@ func (m *MTStriped) lockState(txn int) *stripedTxnState {
 	}
 }
 
-// live reports whether txn has runtime state (used as the liveness
-// callback for the immediate-mode pending-writer check; takes only the
-// leaf map lock).
-func (m *MTStriped) live(txn int) bool {
-	m.tmu.RLock()
-	_, ok := m.txns[txn]
-	m.tmu.RUnlock()
+// live reports whether txn has runtime state (the liveness callback of
+// the pending-writer probes and the blocker state abortBy reports;
+// takes only the leaf map lock).
+func (a *adapter) live(txn int) bool {
+	a.tmu.RLock()
+	_, ok := a.txns[txn]
+	a.tmu.RUnlock()
 	return ok
 }
 
@@ -161,65 +179,61 @@ func (m *MTStriped) live(txn int) bool {
 // the same latch, so the value read is exactly the committed state the
 // decision was made against. The immediate-mode "read ordered after
 // uncommitted writer" abort mirrors MT.Read.
-func (m *MTStriped) Read(txn int, item string) (int64, error) {
-	st := m.lockState(txn)
+func (a *adapter) Read(txn int, item string) (int64, error) {
+	st := a.lockState(txn)
 	if st == nil {
-		return 0, Abort(txn, 0, "no live incarnation")
+		return 0, Abort(txn, 0, noIncarnation)
 	}
 	defer st.mu.Unlock()
-	id := m.sched.ItemID(item)
+	id := a.store.IDOf(item)
 	if v, ok := st.writes[id]; ok {
 		return v, nil
 	}
-	lt := m.sched.Latches()
-	stripe := lt.StripeOfID(id)
-	lt.LockStripe(stripe)
-	v, blocker := m.sched.StepReadID(txn, id)
+	stripe := a.lt.StripeOfID(id)
+	a.lt.LockStripe(stripe)
+	v, blocker := a.k.StepReadID(txn, id)
 	if v == core.Reject {
-		lt.UnlockStripe(stripe)
+		a.lt.UnlockStripe(stripe)
 		st.blocker = blocker
-		return 0, abortBy(txn, blocker, m.live(blocker), "read rejected")
+		return 0, abortBy(txn, blocker, a.live(blocker), a.reason("read rejected"))
 	}
-	if !m.opts.DeferWrites {
-		if w, conflict := m.sched.ReadPendingWriterID(txn, id, m.liveFn); conflict {
-			lt.UnlockStripe(stripe)
+	if !a.deferred {
+		if w, conflict := a.probe.ReadPendingWriterID(txn, id, a.liveFn); conflict {
+			a.lt.UnlockStripe(stripe)
 			st.blocker = w
 			return 0, Abort(txn, w, "read ordered after uncommitted writer")
 		}
 	}
-	val := m.store.GetID(id)
-	lt.UnlockStripe(stripe)
+	val := a.store.GetID(id)
+	a.lt.UnlockStripe(stripe)
 	return val, nil
 }
 
 // Write implements Scheduler.
-func (m *MTStriped) Write(txn int, item string, v int64) error {
-	st := m.lockState(txn)
+func (a *adapter) Write(txn int, item string, v int64) error {
+	st := a.lockState(txn)
 	if st == nil {
-		return Abort(txn, 0, "no live incarnation")
+		return Abort(txn, 0, noIncarnation)
 	}
 	defer st.mu.Unlock()
-	id := m.sched.ItemID(item)
-	if !m.opts.DeferWrites {
-		lt := m.sched.Latches()
-		stripe := lt.StripeOfID(id)
-		lt.LockStripe(stripe)
-		// Immediate mode admits at most one uncommitted writer per item
-		// (see MT.Write): a second live accepted write would publish in
-		// commit order, inverting the decided write order for one of the
-		// two. Checked under the item latch, before the protocol step, so
-		// WT(x) still names the prior writer.
-		if w, conflict := m.sched.WritePendingWriterID(txn, id, m.liveFn); conflict {
-			lt.UnlockStripe(stripe)
+	id := a.store.IDOf(item)
+	if !a.deferred {
+		stripe := a.lt.StripeOfID(id)
+		a.lt.LockStripe(stripe)
+		// At most one uncommitted writer per item (see MT.Write). Checked
+		// under the item latch, before the protocol step, so WT(x) still
+		// names the prior writer.
+		if w, conflict := a.probe.WritePendingWriterID(txn, id, a.liveFn); conflict {
+			a.lt.UnlockStripe(stripe)
 			st.blocker = w
 			return Abort(txn, w, "write conflicts with uncommitted writer")
 		}
-		verdict, blocker := m.sched.StepWriteID(txn, id)
-		lt.UnlockStripe(stripe)
+		verdict, blocker := a.k.StepWriteID(txn, id)
+		a.lt.UnlockStripe(stripe)
 		switch verdict {
 		case core.Reject:
 			st.blocker = blocker
-			return abortBy(txn, blocker, m.live(blocker), "write rejected")
+			return abortBy(txn, blocker, a.live(blocker), a.reason("write rejected"))
 		case core.AcceptIgnored:
 			// Thomas write rule: the write is obsolete; drop it.
 			delete(st.writes, id)
@@ -233,112 +247,139 @@ func (m *MTStriped) Write(txn int, item string, v int64) error {
 	return nil
 }
 
-// Commit implements Scheduler: with DeferWrites the buffered writes
+// Commit implements Scheduler: in deferred mode the buffered writes
 // are validated now. The whole write set's latches are held from
-// validation through ApplyTxn and the protocol commit, so concurrent
+// validation through ApplyTxnIDs and the protocol commit, so concurrent
 // readers of those items see either the pre-commit state with the
 // pre-commit ordering or the post-commit state with the post-commit
 // ordering — never a mix. The commit record itself is sequenced by the
-// store's commit mutex inside ApplyTxn (the group-commit boundary),
+// store's commit mutex inside ApplyTxnIDs (the group-commit boundary),
 // not at latch-acquire time.
-func (m *MTStriped) Commit(txn int) error {
-	st := m.lockState(txn)
+func (a *adapter) Commit(txn int) error {
+	st := a.lockState(txn)
 	if st == nil {
-		return Abort(txn, 0, "no live incarnation")
+		return Abort(txn, 0, noIncarnation)
 	}
 	defer st.mu.Unlock()
-	lt := m.sched.Latches()
 	st.stripes = st.stripes[:0]
 	for _, id := range st.order {
-		st.stripes = append(st.stripes, lt.StripeOfID(id))
+		st.stripes = append(st.stripes, a.lt.StripeOfID(id))
 	}
-	sort.Ints(st.stripes)
-	st.stripes = dedupInts(st.stripes)
-	lt.LockStripesSorted(st.stripes)
-	if m.opts.DeferWrites {
-		for _, id := range st.order {
-			if _, ok := st.writes[id]; !ok {
-				continue
-			}
-			verdict, blocker := m.sched.StepWriteID(txn, id)
-			switch verdict {
-			case core.Reject:
-				st.blocker = blocker
-				m.sched.Abort(txn, blocker)
-				lt.UnlockStripesSorted(st.stripes)
-				m.drop(txn)
-				return abortBy(txn, blocker, m.live(blocker), "commit-time write validation failed")
-			case core.AcceptIgnored:
-				delete(st.writes, id)
-			}
-		}
-	}
+	slices.Sort(st.stripes)
+	st.stripes = slices.Compact(st.stripes)
+	a.lt.LockStripesSorted(st.stripes)
 	st.ids, st.vals = st.ids[:0], st.vals[:0]
 	for _, id := range st.order {
-		if v, ok := st.writes[id]; ok {
-			st.ids = append(st.ids, id)
-			st.vals = append(st.vals, v)
+		v, ok := st.writes[id]
+		if !ok {
+			continue // dropped at write time (Thomas write rule)
 		}
+		if a.deferred {
+			switch verdict, blocker := a.k.StepWriteID(txn, id); verdict {
+			case core.Reject:
+				st.blocker = blocker
+				a.k.Abort(txn, blocker)
+				a.lt.UnlockStripesSorted(st.stripes)
+				a.drop(txn)
+				return abortBy(txn, blocker, a.live(blocker), a.reason("commit-time write validation failed"))
+			case core.AcceptIgnored:
+				continue
+			}
+		}
+		st.ids = append(st.ids, id)
+		st.vals = append(st.vals, v)
 	}
-	if m.unsafePublish {
+	if a.unsafePublish {
 		// Seeded bug (explore harness): drop the latches before the
 		// publish, as the pre-PR-5-fix code did. The yield marks the
 		// reopened window so the explorer can preempt inside it.
-		lt.UnlockStripesSorted(st.stripes)
+		a.lt.UnlockStripesSorted(st.stripes)
 		hook.Yield("sched.publish", "", int64(txn), 0)
-		m.store.ApplyTxnIDs(txn, st.ids, st.vals)
-		m.sched.Commit(txn)
-		m.drop(txn)
-		return nil
 	}
-	m.store.ApplyTxnIDs(txn, st.ids, st.vals)
-	m.sched.Commit(txn)
-	lt.UnlockStripesSorted(st.stripes)
-	m.drop(txn)
+	a.store.ApplyTxnIDs(txn, st.ids, st.vals)
+	a.k.Commit(txn)
+	if !a.unsafePublish {
+		a.lt.UnlockStripesSorted(st.stripes)
+	}
+	a.drop(txn)
 	return nil
 }
-
-// dedupInts removes adjacent duplicates from a sorted slice, in place.
-func dedupInts(xs []int) []int {
-	if len(xs) < 2 {
-		return xs
-	}
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// SetUnsafePublish toggles the reintroduced publish-inversion bug
-// (test-only fault injection for the schedule explorer; see the field
-// comment).
-func (m *MTStriped) SetUnsafePublish(v bool) { m.unsafePublish = v }
 
 // drop removes txn's runtime state and recycles it. The state may
 // still be locked by the caller (or by a straggler); recyclers
 // re-initialize under the state lock, so the pool handoff is safe.
-func (m *MTStriped) drop(txn int) {
-	m.tmu.Lock()
-	st := m.txns[txn]
-	delete(m.txns, txn)
-	m.tmu.Unlock()
+func (a *adapter) drop(txn int) {
+	a.tmu.Lock()
+	st := a.txns[txn]
+	delete(a.txns, txn)
+	a.tmu.Unlock()
 	if st != nil {
-		m.pool.Put(st)
+		a.pool.Put(st)
 	}
 }
 
 // Abort implements Scheduler.
-func (m *MTStriped) Abort(txn int) {
+func (a *adapter) Abort(txn int) {
 	blocker := 0
-	if st := m.lockState(txn); st != nil {
+	if st := a.lockState(txn); st != nil {
 		blocker = st.blocker
 		st.mu.Unlock()
 	}
-	m.sched.Abort(txn, blocker)
-	m.drop(txn)
+	a.k.Abort(txn, blocker)
+	a.drop(txn)
+}
+
+// WALCounters implements DurableCounters. The kernel's own lock is
+// safe to take here: the journal hook runs under the store's commit
+// mutex while the committing goroutine holds its state lock and item
+// latches, all of which order BEFORE the kernel's locks.
+func (a *adapter) WALCounters() (lo, hi int64) { return a.k.Watermarks() }
+
+// SeedWALCounters implements DurableCounters (atomic raise-only clamp).
+func (a *adapter) SeedWALCounters(lo, hi int64) { a.k.RaiseWatermarks(lo, hi) }
+
+// TryPartialRestart implements the Section VI-C-1 partial rollback,
+// mirroring MT.TryPartialRestart: flush-and-reseed past the blocker,
+// then re-validate the kept reads under the new vector.
+func (a *adapter) TryPartialRestart(txn int, readItems []string) bool {
+	st := a.lockState(txn)
+	if st == nil {
+		return false
+	}
+	defer st.mu.Unlock()
+	if st.blocker == 0 || !a.reseeds {
+		return false
+	}
+	// Flush and reseed (keeps the transaction live: the write buffer and
+	// state survive).
+	a.k.Abort(txn, st.blocker)
+	st.blocker = 0
+	for _, x := range readItems {
+		id := a.store.IDOf(x)
+		stripe := a.lt.StripeOfID(id)
+		a.lt.LockStripe(stripe)
+		verdict, blocker := a.k.StepReadID(txn, id)
+		a.lt.UnlockStripe(stripe)
+		if verdict == core.Reject {
+			st.blocker = blocker
+			return false
+		}
+	}
+	return true
+}
+
+// MTStriped is MT(k) on the production path: the adapter over the
+// fine-grained-locking engine.Striped and the engine's own latch table.
+type MTStriped struct {
+	*adapter
+	sched *engine.Striped
+}
+
+// NewMTStriped returns a striped MT(k)-family runtime scheduler over
+// the store. The engine shares the store's intern table.
+func NewMTStriped(store *storage.Store, opts MTOptions) *MTStriped {
+	eng := engine.NewStripedInterned(opts.Core, store.Interner())
+	return &MTStriped{newAdapter(store, opts.family("/striped"), eng, eng.Latches()), eng}
 }
 
 // Striped exposes the underlying protocol scheduler (tests,
@@ -347,45 +388,9 @@ func (m *MTStriped) Striped() *engine.Striped { return m.sched }
 
 // K returns the protocol's vector size (crash-harness restart
 // discovery; MT exposes the same via Core().K()).
-func (m *MTStriped) K() int { return m.opts.Core.K }
+func (m *MTStriped) K() int { return m.sched.K() }
 
-// WALCounters implements DurableCounters. The striped engine's
-// counter lock is safe to take here: the journal hook runs under the
-// store's commit mutex while the committing goroutine holds item
-// latches and transaction-entry locks, all of which order BEFORE the
-// counter lock.
-func (m *MTStriped) WALCounters() (lo, hi int64) { return m.sched.Watermarks() }
-
-// SeedWALCounters implements DurableCounters (atomic raise-only clamp).
-func (m *MTStriped) SeedWALCounters(lo, hi int64) { m.sched.SeedCounters(lo, hi) }
-
-// TryPartialRestart implements the Section VI-C-1 partial rollback,
-// mirroring MT.TryPartialRestart: flush-and-reseed past the blocker,
-// then re-validate the kept reads under the new vector.
-func (m *MTStriped) TryPartialRestart(txn int, readItems []string) bool {
-	st := m.lockState(txn)
-	if st == nil {
-		return false
-	}
-	defer st.mu.Unlock()
-	if st.blocker == 0 || !m.opts.Core.StarvationAvoidance {
-		return false
-	}
-	// Flush and reseed (keeps the transaction live: the write buffer and
-	// state survive).
-	m.sched.Abort(txn, st.blocker)
-	st.blocker = 0
-	lt := m.sched.Latches()
-	for _, x := range readItems {
-		id := m.sched.ItemID(x)
-		stripe := lt.StripeOfID(id)
-		lt.LockStripe(stripe)
-		verdict, blocker := m.sched.StepReadID(txn, id)
-		lt.UnlockStripe(stripe)
-		if verdict == core.Reject {
-			st.blocker = blocker
-			return false
-		}
-	}
-	return true
-}
+// SetUnsafePublish toggles the reintroduced publish-inversion bug
+// (test-only fault injection for the schedule explorer; see the field
+// comment).
+func (m *MTStriped) SetUnsafePublish(v bool) { m.unsafePublish = v }

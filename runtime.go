@@ -64,15 +64,11 @@ func Transfers(n int, accounts []string, amount int64, seed int64) []Txn {
 	return workload.Transfers(n, accounts, amount, seed)
 }
 
-// NewMTRuntime returns the MT(k) runtime scheduler over the store.
-// deferWrites selects the Section VI-C-2 commit-time write validation.
+// NewMTRuntime returns the MT(k) runtime scheduler over the store: the
+// production transaction lifecycle on the fine-grained-locking engine
+// (operations on disjoint items run concurrently). deferWrites selects
+// the Section VI-C-2 commit-time write validation.
 func NewMTRuntime(store *Store, opts MTOptions, deferWrites bool) RuntimeScheduler {
-	return sched.NewMT(store, sched.MTOptions{Core: opts, DeferWrites: deferWrites})
-}
-
-// NewMTStripedRuntime returns the fine-grained-locking MT(k) runtime
-// scheduler (decision-for-decision equivalent to NewMTRuntime).
-func NewMTStripedRuntime(store *Store, opts MTOptions, deferWrites bool) RuntimeScheduler {
 	return sched.NewMTStriped(store, sched.MTOptions{Core: opts, DeferWrites: deferWrites})
 }
 

@@ -6,8 +6,12 @@ FUZZTIME ?= 30s
 # The full gate: what must pass before merging.
 ci: vet fmt lint vuln build test benchmark-test benchmark-smoke shuffle race bench-smoke alloc-gate fuzz-smoke crash chaos-partition-smoke overload-smoke explore-smoke
 
+# benchmark/ is a module of its own, so the root `go vet ./...` never
+# sees it — and it is the one consumer of the internal id-form API
+# (StepReadID, StripeOfID, ApplyTxnIDs, ...) outside this module.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # gofmt as a gate: fail (and show the files) if anything is unformatted.
 fmt:
@@ -47,7 +51,8 @@ benchmark-smoke:
 # ci (minutes); run it before trusting a change to the runtime, the
 # adapters or a baseline scheduler.
 flake:
-	$(GO) test -count=10 ./internal/sim ./internal/txn ./internal/sched ./internal/interval
+	$(GO) test -count=10 ./internal/sim ./internal/txn ./internal/sched ./internal/interval \
+		./internal/history ./internal/dmt ./internal/tsto ./internal/sgt ./internal/nested
 
 # The suite again in random test order: catches inter-test state leaks
 # (shared package-level state, test-order-dependent fixtures).

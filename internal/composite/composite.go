@@ -18,8 +18,11 @@
 package composite
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/intern"
 	"repro/internal/oplog"
 )
 
@@ -33,10 +36,13 @@ type Options struct {
 	Sub engine.Options
 }
 
-// Scheduler is the MT(k⁺) composite concurrency controller.
+// Scheduler is the MT(k⁺) composite concurrency controller. The
+// subprotocols share one item-intern table, so an operation's item is
+// resolved once and every MT(h) indexes its RT/WT state by the same id.
 type Scheduler struct {
 	subs  []*engine.Scheduler // subs[h-1] runs MT(h)
 	alive []bool
+	names *intern.Table
 }
 
 // Decision is the composite scheduling outcome for one operation.
@@ -53,16 +59,21 @@ type Decision struct {
 }
 
 // NewScheduler returns an MT(k⁺) scheduler with all k subprotocols
-// started (Algorithm 2 step 0).
-func NewScheduler(opts Options) *Scheduler {
+// started (Algorithm 2 step 0) and an item-intern table of its own.
+func NewScheduler(opts Options) *Scheduler { return NewSchedulerInterned(opts, intern.New()) }
+
+// NewSchedulerInterned returns an MT(k⁺) scheduler that shares the
+// given intern table (the backing store's, so its ids are the
+// runtime's).
+func NewSchedulerInterned(opts Options, names *intern.Table) *Scheduler {
 	if opts.K < 1 {
 		panic("composite: Options.K must be >= 1")
 	}
-	s := &Scheduler{alive: make([]bool, opts.K)}
+	s := &Scheduler{alive: make([]bool, opts.K), names: names}
 	for h := 1; h <= opts.K; h++ {
 		sub := opts.Sub
 		sub.K = h
-		s.subs = append(s.subs, engine.NewScheduler(sub))
+		s.subs = append(s.subs, engine.NewSchedulerInterned(sub, names))
 		s.alive[h-1] = true
 	}
 	return s
@@ -85,24 +96,59 @@ func (s *Scheduler) Alive() []int {
 // Sub returns the MT(h) subprotocol scheduler (1-based), alive or not.
 func (s *Scheduler) Sub(h int) *engine.Scheduler { return s.subs[h-1] }
 
-// Step schedules one operation through every alive subprotocol.
+// Step schedules one operation in log notation: its items go through
+// the id-form step one by one (a subprotocol that rejects an item sees
+// no later one), and the decision reports which subprotocols survived.
 func (s *Scheduler) Step(op oplog.Op) Decision {
 	d := Decision{Op: op, Verdict: core.Reject}
-	for h := 1; h <= len(s.subs); h++ {
-		if !s.alive[h-1] {
-			continue
+	before := slices.Clone(s.alive)
+	for _, x := range op.Items {
+		s.stepItem(op.Txn, s.names.ID(x), op.Kind == oplog.Read)
+	}
+	for h, was := range before {
+		switch {
+		case s.alive[h]:
+			d.Verdict = core.Accept
+			d.AcceptedBy = append(d.AcceptedBy, h+1)
+		case was:
+			d.StoppedNow = append(d.StoppedNow, h+1)
 		}
-		sub := s.subs[h-1].Step(op)
-		if sub.Verdict == core.Reject {
-			// The log has left TO(h): stop MT(h) for good.
-			s.alive[h-1] = false
-			d.StoppedNow = append(d.StoppedNow, h)
-			continue
-		}
-		d.Verdict = core.Accept
-		d.AcceptedBy = append(d.AcceptedBy, h)
 	}
 	return d
+}
+
+// StepReadID schedules a read of one interned item through every alive
+// subprotocol: Accept if at least one accepted, Reject when all are
+// stopped. A composite reject names no blocker.
+func (s *Scheduler) StepReadID(txn int, id int32) (core.Verdict, int) {
+	return s.stepItem(txn, id, true), 0
+}
+
+// StepWriteID is the write analogue of StepReadID.
+func (s *Scheduler) StepWriteID(txn int, id int32) (core.Verdict, int) {
+	return s.stepItem(txn, id, false), 0
+}
+
+func (s *Scheduler) stepItem(txn int, id int32, read bool) core.Verdict {
+	verdict := core.Reject
+	for h, sub := range s.subs {
+		if !s.alive[h] {
+			continue
+		}
+		var v core.Verdict
+		if read {
+			v, _ = sub.StepReadID(txn, id)
+		} else {
+			v, _ = sub.StepWriteID(txn, id)
+		}
+		if v == core.Reject {
+			// The log has left TO(h+1): stop the subprotocol for good.
+			s.alive[h] = false
+			continue
+		}
+		verdict = core.Accept
+	}
+	return verdict
 }
 
 // Commit forwards the commit to the alive subprotocols (storage

@@ -3,28 +3,39 @@ package composite
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/intern"
 	"repro/internal/oplog"
 )
 
 // Lifecycle fuzz: random interleavings of operations, commits and aborts
 // must never corrupt the composite's subprotocol tables, and every
 // accepted operation prefix (per alive subprotocol) must stay consistent
-// with the committed dependency structure.
+// with the committed dependency structure. A twin driven through
+// StepReadID/StepWriteID instead of Step(op) must agree with it on every
+// verdict, on which subprotocols are alive, and on every subprotocol's
+// vectors and watermarks.
 func TestFuzzCompositeLifecycle(t *testing.T) {
 	items := []string{"a", "b", "c"}
 	for seed := int64(0); seed < 4000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k := 1 + rng.Intn(4)
 		thomas := rng.Intn(2) == 0
-		s := NewScheduler(Options{K: k, Sub: engine.Options{
+		opts := Options{K: k, Sub: engine.Options{
 			StarvationAvoidance: rng.Intn(2) == 0,
 			ThomasWriteRule:     thomas,
-		}})
+			RelaxedReadCheck:    seed%2 == 0,
+			HotThreshold:        int(seed % 3),
+			HotItems:            map[string]bool{"b": seed%5 == 0},
+		}}
+		s := NewScheduler(opts)
+		names := intern.New()
+		byID := NewSchedulerInterned(opts, names)
 		var accepted []oplog.Op
 		var trace []string
 		retired := map[int]bool{} // committed ids: ops after commit would
@@ -44,10 +55,12 @@ func TestFuzzCompositeLifecycle(t *testing.T) {
 				case 0:
 					trace = append(trace, fmt.Sprintf("C%d", txn))
 					s.Commit(txn)
+					byID.Commit(txn)
 					retired[txn] = true
 				case 1:
 					trace = append(trace, fmt.Sprintf("A%d", txn))
 					s.Abort(txn, 0)
+					byID.Abort(txn, 0)
 				default:
 					var op oplog.Op
 					it := items[rng.Intn(len(items))]
@@ -57,11 +70,30 @@ func TestFuzzCompositeLifecycle(t *testing.T) {
 						op = oplog.W(txn, it)
 					}
 					trace = append(trace, op.String())
-					if d := s.Step(op); d.Verdict != core.Reject {
+					d := s.Step(op)
+					if d.Verdict != core.Reject {
 						accepted = append(accepted, op)
 					} else if len(s.Alive()) != 0 {
 						t.Fatalf("seed %d: reject while subprotocols alive: %v", seed, s.Alive())
 					}
+					step := byID.StepWriteID
+					if op.Kind == oplog.Read {
+						step = byID.StepReadID
+					}
+					if v, _ := step(txn, names.ID(it)); v != d.Verdict || !slices.Equal(byID.Alive(), s.Alive()) {
+						t.Fatalf("seed %d %s: Step = %v alive %v, id form = %v alive %v\ntrace: %v",
+							seed, op, d.Verdict, s.Alive(), v, byID.Alive(), trace)
+					}
+				}
+			}
+			for h := 1; h <= k; h++ {
+				a, b := s.Sub(h), byID.Sub(h)
+				if fmt.Sprint(a.Snapshot()) != fmt.Sprint(b.Snapshot()) {
+					t.Fatalf("seed %d: MT(%d) vectors differ: %v vs %v", seed, h, a.Snapshot(), b.Snapshot())
+				}
+				alo, ahi := a.Watermarks()
+				if blo, bhi := b.Watermarks(); alo != blo || ahi != bhi {
+					t.Fatalf("seed %d: MT(%d) watermarks (%d,%d) vs (%d,%d)", seed, h, alo, ahi, blo, bhi)
 				}
 			}
 		}()

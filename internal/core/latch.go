@@ -7,20 +7,22 @@ import (
 	"repro/internal/intern"
 )
 
-// LatchTable is a hash-striped per-item latch table: each item maps to
-// one of a fixed set of mutex stripes, and a multi-item acquisition
-// takes its stripes in ascending stripe order — the same ordered-object
-// locking discipline DMT(k) uses for its per-item vector objects
-// (Section V), which makes every acquisition deadlock-free regardless
-// of how item sets overlap. Latches are short-term (held for one
-// protocol step or one commit's validate-and-publish), unlike the 2PL
-// locks in internal/lock, which are held to commit and need deadlock
-// detection.
+// LatchTable is a striped per-item latch table: each item maps, by its
+// interned id, to one of a fixed set of mutex stripes, and a multi-item
+// acquisition takes its stripes in ascending stripe order — the same
+// ordered-object locking discipline DMT(k) uses for its per-item vector
+// objects (Section V), which makes every acquisition deadlock-free
+// regardless of how item sets overlap. Latches are short-term (held for
+// one protocol step or one commit's validate-and-publish), unlike the
+// 2PL locks in internal/lock, which are held to commit and need
+// deadlock detection.
 //
-// A table may be bound to an intern.Table (BindInterner), in which case
-// items stripe by their dense interned id instead of a string hash:
-// StripeOf(item) and StripeOfID(ID(item)) then agree, so id-indexed
-// fast paths and legacy string callers always latch the same stripe.
+// Items stripe by their dense interned id, and by nothing else: the
+// id-form methods (StripeOfID, LockStripe, ...) need no more than the
+// table, and the by-name methods (StripeOf, Lock) resolve the name
+// through the intern.Table the table was bound to (BindInterner) and
+// then follow the same rule, so the two forms always latch the same
+// stripe.
 type LatchTable struct {
 	stripes []chanMutex
 	mask    uint32
@@ -28,7 +30,7 @@ type LatchTable struct {
 	// closure-returning Lock API costs no allocation on the single-item
 	// steady path.
 	unlockFns []func()
-	// names, when non-nil, makes striping id-based (see type comment).
+	// names resolves the by-name methods' items; nil until BindInterner.
 	names *intern.Table
 	// resBase is this table's first stripe's process-unique resource id
 	// for the explore hook: stripe i is resource resBase+i, so the
@@ -70,33 +72,30 @@ func NewLatchTable(n int) *LatchTable {
 	return t
 }
 
-// BindInterner switches the table to id-based striping over tbl. Must
-// be called before the table is shared between goroutines (it is a
-// construction-time wiring step, not a runtime toggle).
+// BindInterner gives the by-name methods the table that produced the
+// ids the id-form callers use. Must be called before the table is
+// shared between goroutines (it is a construction-time wiring step, not
+// a runtime toggle).
 func (t *LatchTable) BindInterner(tbl *intern.Table) { t.names = tbl }
 
 // Stripes returns the stripe count.
 func (t *LatchTable) Stripes() int { return len(t.stripes) }
 
-// StripeOf returns the stripe index item hashes to. Two items with the
-// same stripe index share a latch (and therefore serialize), which is
-// safe but costs concurrency; callers that keep per-stripe side state
-// (the striped scheduler's rt/wt tables) key it by this index.
+// StripeOf returns the stripe index of a named item, interning it on
+// first use. It panics on a table that was never bound to an interner:
+// such a table has no way to know the item's id.
 func (t *LatchTable) StripeOf(item string) int {
-	if t.names != nil {
-		return int(uint32(t.names.ID(item)) & t.mask)
+	if t.names == nil {
+		panic("core: by-name latch on a LatchTable without BindInterner")
 	}
-	h := uint32(2166136261)
-	for i := 0; i < len(item); i++ {
-		h ^= uint32(item[i])
-		h *= 16777619
-	}
-	return int(h & t.mask)
+	return t.StripeOfID(t.names.ID(item))
 }
 
-// StripeOfID returns the stripe index for an interned item id. Valid
-// only on tables bound to the interner that produced the id (unbound
-// tables stripe strings by hash, which need not agree).
+// StripeOfID returns the stripe index for an interned item id. Two
+// items with the same stripe index share a latch (and therefore
+// serialize), which is safe but costs concurrency; callers that keep
+// per-stripe side state (the striped scheduler's rt/wt tables) key it
+// by this index.
 func (t *LatchTable) StripeOfID(id int32) int {
 	return int(uint32(id) & t.mask)
 }

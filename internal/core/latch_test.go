@@ -6,7 +6,38 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/intern"
 )
+
+// boundTable returns a table whose by-name methods resolve items
+// through a fresh interner.
+func boundTable(n int) *LatchTable {
+	lt := NewLatchTable(n)
+	lt.BindInterner(intern.New())
+	return lt
+}
+
+// TestLatchTableOneStripingRule: a name and its interned id latch the
+// same stripe, and a table that was never bound refuses names instead
+// of guessing a stripe for them.
+func TestLatchTableOneStripingRule(t *testing.T) {
+	names := intern.New()
+	lt := NewLatchTable(8)
+	lt.BindInterner(names)
+	for i := 0; i < 40; i++ {
+		x := fmt.Sprintf("k%02d", i)
+		if got, want := lt.StripeOf(x), lt.StripeOfID(names.ID(x)); got != want {
+			t.Fatalf("StripeOf(%q) = %d, StripeOfID = %d", x, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("by-name latch on an unbound table did not panic")
+		}
+	}()
+	NewLatchTable(8).Lock("x")
+}
 
 func TestLatchTableRoundsUp(t *testing.T) {
 	for _, tc := range []struct{ n, want int }{
@@ -22,7 +53,7 @@ func TestLatchTableRoundsUp(t *testing.T) {
 // stripe in one call: the dedup must keep the acquisition from
 // self-deadlocking.
 func TestLatchTableAliasedItems(t *testing.T) {
-	lt := NewLatchTable(2) // every item lands on stripe 0 or 1
+	lt := boundTable(2) // every item lands on stripe 0 or 1
 	items := make([]string, 16)
 	for i := range items {
 		items[i] = fmt.Sprintf("item%03d", i)
@@ -46,7 +77,7 @@ func TestLatchTableAliasedItems(t *testing.T) {
 // many goroutines; under -race this also proves the latch establishes
 // happens-before edges.
 func TestLatchTableMutualExclusion(t *testing.T) {
-	lt := NewLatchTable(4)
+	lt := boundTable(4)
 	counters := make([]int, lt.Stripes())
 	items := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	const workers, rounds = 8, 500
@@ -78,7 +109,7 @@ func TestLatchTableMutualExclusion(t *testing.T) {
 // releases them one by one; if a wakeup were ever lost, a waiter would
 // park forever and the watchdog fires.
 func TestLatchTableNoLostWakeups(t *testing.T) {
-	lt := NewLatchTable(1)
+	lt := boundTable(1)
 	const waiters = 32
 	var wg sync.WaitGroup
 	for w := 0; w < waiters; w++ {
@@ -105,7 +136,7 @@ func TestLatchTableNoLostWakeups(t *testing.T) {
 // watchdog deadline (deadlock-freedom) with all acquisitions balanced.
 func latchStorm(t *testing.T, stripes, workers, itemsN, setMax, rounds int, seed int64) {
 	t.Helper()
-	lt := NewLatchTable(stripes)
+	lt := boundTable(stripes)
 	items := make([]string, itemsN)
 	for i := range items {
 		items[i] = fmt.Sprintf("k%04d", i)

@@ -712,6 +712,7 @@ func (c *Cluster) Step(op oplog.Op) core.Decision {
 // and the unreachable site on Unavailable. Every transport check runs
 // before the first mutation, so a fault leaves no partial state behind.
 func (c *Cluster) stepItem(acting, txn int, kind oplog.Kind, x string) (core.Verdict, int, int) {
+	c.markLive(txn)
 	for {
 		// Fail fast: a crashed site schedules nothing. The check is a
 		// probe through the transport, so it advances the injector's
@@ -886,28 +887,63 @@ func (c *Cluster) markDone(txn int) {
 	s.mu.Unlock()
 }
 
+// markLive clears txn's finished mark: a transaction issuing operations
+// is live — the runtime re-runs one that aborted without a blocker
+// under the same id — and GC must not take the vector it is building.
+func (c *Cluster) markLive(txn int) {
+	s := c.sites[c.homeOfTxn(txn)]
+	s.mu.Lock()
+	delete(s.done, txn)
+	s.mu.Unlock()
+}
+
 // GC reclaims vectors of finished transactions that are no longer the
 // most recent read or write timestamp of any item (implementation issue
 // (b), distributed). It returns the number of vectors dropped. Callers
-// run it periodically; it takes site locks only.
+// run it periodically, concurrently with traffic; it holds one lock at
+// a time.
 //
 // While a site is down its in-memory index is gone, but recovery will
 // rebuild it from the journal — so the sweep conservatively treats every
 // transaction in the down site's journal records as referenced, keeping
 // the vectors the rebuilt index will point at.
-func (c *Cluster) GC() int {
-	referenced := map[int]bool{0: true}
+func (c *Cluster) GC() int { return c.gcSweep(c.gcScan()) }
+
+// gcScan returns, per site, the transactions that had finished when the
+// scan began, and the set of transactions some item index names. The
+// candidates are taken BEFORE any index entry is read: a candidate made
+// its last index update before it finished, so the reads that follow see
+// every slot it still occupies, while a transaction that steps and
+// finishes during the scan is not a candidate and waits for the next
+// sweep. Index entries are collected under their site's lock but read
+// under their own item lock, the lock stepItem writes them under.
+func (c *Cluster) gcScan() (candidates [][]int, referenced map[int]bool) {
+	type indexed struct {
+		e  *itemEntry
+		mu *sync.Mutex
+	}
+	var entries []indexed
+	candidates = make([][]int, len(c.sites))
 	downSites := map[int]bool{}
 	for idx, s := range c.sites {
 		s.mu.Lock()
+		for txn := range s.done {
+			candidates[idx] = append(candidates[idx], txn)
+		}
 		if s.down {
 			downSites[idx] = true
 		}
-		for _, e := range s.items {
-			referenced[e.rt] = true
-			referenced[e.wt] = true
+		for x, e := range s.items {
+			entries = append(entries, indexed{e, s.locks[x]})
 		}
 		s.mu.Unlock()
+	}
+	referenced = map[int]bool{0: true}
+	for _, it := range entries {
+		it.mu.Lock()
+		referenced[it.e.rt] = true
+		referenced[it.e.wt] = true
+		it.mu.Unlock()
 	}
 	if len(downSites) > 0 {
 		c.jmu.Lock()
@@ -918,11 +954,16 @@ func (c *Cluster) GC() int {
 		}
 		c.jmu.Unlock()
 	}
+	return candidates, referenced
+}
+
+// gcSweep drops the vectors of the scan's unreferenced candidates.
+func (c *Cluster) gcSweep(candidates [][]int, referenced map[int]bool) int {
 	dropped := 0
-	for _, s := range c.sites {
+	for idx, s := range c.sites {
 		s.mu.Lock()
-		for txn := range s.done {
-			if !referenced[txn] {
+		for _, txn := range candidates[idx] {
+			if s.done[txn] && !referenced[txn] {
 				delete(s.vecs, txn)
 				delete(s.done, txn)
 				dropped++

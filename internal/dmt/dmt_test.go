@@ -251,3 +251,87 @@ func ExampleCluster_Step() {
 	fmt.Println(d.Verdict)
 	// Output: accept
 }
+
+// A transaction that steps and finishes while a sweep is between its
+// scan and its drop pass must keep its vector: the scan could not have
+// seen the index slot it took, so only transactions that had finished
+// before the scan began are candidates.
+func TestGCKeepsVectorOfTransactionFinishedMidSweep(t *testing.T) {
+	c := NewCluster(Options{K: 2, Sites: 2})
+	c.Step(oplog.R(1, "x"))
+	c.Commit(1)
+	candidates, referenced := c.gcScan()
+	// T2 becomes RT(x) and commits after the scan read x's index entry.
+	if d := c.Step(oplog.R(2, "x")); d.Verdict != core.Accept {
+		t.Fatalf("R2[x]: %+v", d)
+	}
+	c.Commit(2)
+	want := c.Vector(2).String()
+	c.gcSweep(candidates, referenced)
+	if rt := c.sites[c.homeOfItem("x")].items["x"].rt; rt != 2 {
+		t.Fatalf("RT(x) = %d, want 2", rt)
+	}
+	if _, ok := c.sites[c.homeOfTxn(2)].vecs[2]; !ok {
+		t.Fatalf("sweep dropped TS(2) = %s while RT(x) still names T2", want)
+	}
+	// The next sweep sees T2 referenced and T1 (displaced, finished) not.
+	if n := c.GC(); n != 1 {
+		t.Fatalf("second sweep dropped %d vectors, want 1 (T1)", n)
+	}
+	if got := c.Vector(2).String(); got != want {
+		t.Fatalf("TS(2) = %s after GC, want %s", got, want)
+	}
+}
+
+// GC sweeps while transactions step on the same items; run with -race.
+// The sweep must read an index entry under the item lock stepItem
+// writes it under, not under the site lock.
+func TestGCConcurrentWithSteps(t *testing.T) {
+	c := NewCluster(Options{K: 3, Sites: 2})
+	items := []string{"a", "b", "c"}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.GC()
+			}
+		}
+	}()
+	for txn := 1; txn <= 2000; txn++ {
+		for _, x := range items {
+			if d := c.Step(oplog.R(txn, x)); d.Verdict == core.Reject {
+				break
+			}
+		}
+		c.Commit(txn)
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// A transaction that was aborted without a blocker is marked finished;
+// the runtime then re-runs it under the same id. The restarted
+// incarnation is live again from its first step, so a sweep must not
+// take the vector it is building: here T5 is ordered before T6 (R5[x]
+// W6[x]) and stops being referenced (R7[x]); if the sweep dropped
+// TS(5), W5[y] after R6[y] would be encoded against an empty vector and
+// accepted, closing the cycle T5 -> T6 -> T5.
+func TestGCKeepsVectorOfRestartedTransaction(t *testing.T) {
+	c := NewCluster(Options{K: 2, Sites: 2})
+	c.Abort(5, 0) // e.g. "read over uncommitted writer": no blocker to reseed past
+	for _, op := range []oplog.Op{oplog.R(5, "x"), oplog.W(6, "x"), oplog.R(7, "x"), oplog.R(6, "y")} {
+		if d := c.Step(op); d.Verdict != core.Accept {
+			t.Fatalf("%s: %+v", op, d)
+		}
+	}
+	c.GC()
+	if d := c.Step(oplog.W(5, "y")); d.Verdict != core.Reject {
+		t.Fatalf("W5[y] after GC: %v, want Reject (TS(5) < TS(6) was established)", d.Verdict)
+	}
+}

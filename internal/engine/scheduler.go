@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/intern"
 	"repro/internal/oplog"
 )
 
@@ -65,34 +66,41 @@ type Options struct {
 // caller serializes access to it (the paper's scheduler processes one
 // operation at a time). It stays the differential reference every other
 // discipline and variant is checked against.
+//
+// Items are interned to dense ids: RT(x), WT(x), the access counts and
+// the hot set are slices indexed by id, and StepReadID/StepWriteID are
+// the scheduler procedure. Step speaks the paper's log notation on top
+// of them.
 type Scheduler struct {
-	opts   Options
-	k      int
-	tab    *VectorTable   // the TS table of Fig. 2
-	rt     map[string]int // RT(x): most recent reader
-	wt     map[string]int // WT(x): most recent writer
-	access map[string]int // per-item access counts (hot-item detection)
-	pins   map[int]int    // #items for which txn is RT or WT
-	done   map[int]bool   // committed transactions awaiting unpin
+	opts    Options
+	k       int
+	tab     *VectorTable // the TS table of Fig. 2
+	names   *intern.Table
+	holders *Holders // RT(x)/WT(x) and vector reclamation
+	access  []int    // per-item access counts (hot-item detection)
+	hot     []bool   // Options.HotItems by id
 }
 
-// NewScheduler returns an initialized MT(k) scheduler. TS(0) = <0,*,...,*>
-// represents the virtual transaction T_0 that read and wrote every item
-// before all others; RT(x) = WT(x) = 0 for every x.
-func NewScheduler(opts Options) *Scheduler {
+// NewScheduler returns an initialized MT(k) scheduler with an item-intern
+// table of its own. TS(0) = <0,*,...,*> represents the virtual
+// transaction T_0 that read and wrote every item before all others;
+// RT(x) = WT(x) = 0 for every x.
+func NewScheduler(opts Options) *Scheduler { return NewSchedulerInterned(opts, intern.New()) }
+
+// NewSchedulerInterned returns an MT(k) scheduler that shares the given
+// intern table (the backing store's, so its ids are the runtime's).
+func NewSchedulerInterned(opts Options, names *intern.Table) *Scheduler {
 	if opts.K < 1 {
 		panic("engine: Options.K must be >= 1")
 	}
 	s := &Scheduler{
-		opts:   opts,
-		k:      opts.K,
-		tab:    NewVectorTable(opts.K),
-		rt:     make(map[string]int),
-		wt:     make(map[string]int),
-		access: make(map[string]int),
-		pins:   make(map[int]int),
-		done:   make(map[int]bool),
+		opts:  opts,
+		k:     opts.K,
+		tab:   NewVectorTable(opts.K),
+		names: names,
+		hot:   hotIDs(opts.HotItems, names),
 	}
+	s.holders = NewHolders(s.tab)
 	s.tab.Monotonic = opts.MonotonicEncoding
 	if opts.Trace != nil {
 		s.tab.OnAssign = func(id, pos int, val int64) {
@@ -129,31 +137,35 @@ func (s *Scheduler) Vector(i int) *core.Vector { return s.tab.Vector(i).Clone() 
 // transaction id.
 func (s *Scheduler) Snapshot() map[int]*core.Vector { return s.tab.Snapshot() }
 
+// Holders returns RT(x) and WT(x) for an interned item (0 if none).
+func (s *Scheduler) Holders(id int32) (rt, wt int) { return s.holders.Of(id) }
+
 // RT returns RT(x), the most recent reader of x (0 if none).
-func (s *Scheduler) RT(x string) int { return s.rt[x] }
+func (s *Scheduler) RT(x string) int {
+	rt, _ := s.holders.Of(s.names.ID(x))
+	return rt
+}
 
 // WT returns WT(x), the most recent writer of x (0 if none).
-func (s *Scheduler) WT(x string) int { return s.wt[x] }
+func (s *Scheduler) WT(x string) int {
+	_, wt := s.holders.Of(s.names.ID(x))
+	return wt
+}
 
 // less reports whether TS(a) < TS(b) is established.
 func (s *Scheduler) less(a, b int) bool { return s.tab.Less(a, b) }
 
-// hot reports whether x qualifies for right-shifted encoding.
-func (s *Scheduler) hot(x string) bool {
-	if s.opts.HotItems[x] {
+// hotID reports whether the item qualifies for right-shifted encoding.
+func (s *Scheduler) hotID(id int32) bool {
+	if int(id) < len(s.hot) && s.hot[id] {
 		return true
 	}
-	return s.opts.HotThreshold > 0 && s.access[x] >= s.opts.HotThreshold
+	return s.opts.HotThreshold > 0 && int(id) < len(s.access) && s.access[id] >= s.opts.HotThreshold
 }
 
-// Set implements procedure Set(j, i): it tries to establish or encode
-// TS(j) < TS(i) and reports success. It is exported for the composite and
-// nested protocols, which reuse the element-assignment rules.
-func (s *Scheduler) Set(j, i int) bool { return s.setDep(j, i, "") }
-
-// setDep is Set(j, i); x (may be empty) is the item whose access created
-// the dependency, used to decide hot-item right-shifted encoding.
-func (s *Scheduler) setDep(j, i int, x string) bool {
+// setDep is Set(j, i); shift asks for the hot-item right-shifted
+// encoding of the item whose access created the dependency.
+func (s *Scheduler) setDep(j, i int, shift bool) bool {
 	if j == i {
 		return true
 	}
@@ -167,7 +179,6 @@ func (s *Scheduler) setDep(j, i int, x string) bool {
 		}
 		return true
 	}
-	shift := x != "" && s.hot(x)
 	if !s.tab.Set(j, i, shift) {
 		return false
 	}
@@ -181,20 +192,18 @@ func (s *Scheduler) setDep(j, i int, x string) bool {
 // model's set reads/writes) process their items in order; the first
 // rejecting item rejects the whole operation.
 func (s *Scheduler) Step(op oplog.Op) core.Decision {
-	// A transaction issuing operations is live: a restarted incarnation
-	// after Abort reactivates its (possibly reseeded) vector.
-	delete(s.done, op.Txn)
+	return StepOp(op, s.names, func(id int32) (core.Verdict, int) {
+		return s.stepItem(op.Txn, id, op.Kind == oplog.Read)
+	})
+}
+
+// StepOp runs an operation in log notation through an id-form step
+// function, item by item: the one translation from names to ids the
+// caller-serialized protocols share.
+func StepOp(op oplog.Op, names *intern.Table, step func(id int32) (core.Verdict, int)) core.Decision {
 	var ignored []string
 	for _, x := range op.Items {
-		s.access[x]++
-		var v core.Verdict
-		var blocker int
-		if op.Kind == oplog.Read {
-			v, blocker = s.stepRead(op.Txn, x)
-		} else {
-			v, blocker = s.stepWrite(op.Txn, x)
-		}
-		switch v {
+		switch v, blocker := step(names.ID(x)); v {
 		case core.Reject:
 			return core.Decision{Op: op, Verdict: core.Reject, Blocker: blocker, Item: x}
 		case core.AcceptIgnored:
@@ -208,93 +217,64 @@ func (s *Scheduler) Step(op oplog.Op) core.Decision {
 	return core.Decision{Op: op, Verdict: verdict, IgnoredItems: ignored}
 }
 
-// maxHolder returns j := RT(x) or WT(x), whichever has the larger
-// timestamp (Algorithm 1 lines 5-6). RT(x) and WT(x) are always comparable
-// for the same item because reads and writes of x conflict pairwise.
-func (s *Scheduler) maxHolder(x string) int {
-	if s.less(s.rt[x], s.wt[x]) {
-		return s.wt[x]
-	}
-	return s.rt[x]
+// StepReadID runs the read arm of the Scheduler procedure for one
+// interned item; on Reject the int names the blocker.
+func (s *Scheduler) StepReadID(txn int, id int32) (core.Verdict, int) {
+	return s.stepItem(txn, id, true)
 }
 
-// stepRead implements the read arm of the Scheduler procedure.
-func (s *Scheduler) stepRead(i int, x string) (core.Verdict, int) {
-	j := s.maxHolder(x)
-	if s.setDep(j, i, x) {
-		s.repin(x, &s.rt, i)
-		return core.Accept, 0
+// StepWriteID is the write-arm analogue of StepReadID.
+func (s *Scheduler) StepWriteID(txn int, id int32) (core.Verdict, int) {
+	return s.stepItem(txn, id, false)
+}
+
+// stepItem is the Scheduler procedure of Algorithm 1 for one item.
+func (s *Scheduler) stepItem(i int, id int32, read bool) (core.Verdict, int) {
+	s.holders.Live(i)
+	s.access = cover(s.access, id)
+	s.access[id]++
+	shift := s.hotID(id)
+	rt, wt := s.holders.Of(id)
+	// Lines 5-6: j := RT(x) or WT(x), whichever has the larger timestamp.
+	// The two are always comparable for the same item because reads and
+	// writes of x conflict pairwise.
+	j := rt
+	if s.less(rt, wt) {
+		j = wt
 	}
-	// Line 9: the read may slot between the most recent write and the most
-	// recent read without becoming the most recent reader.
-	if j == s.rt[x] {
-		if s.opts.RelaxedReadCheck {
-			if s.setDep(s.wt[x], i, x) {
-				return core.Accept, 0
-			}
-		} else if s.less(s.wt[x], i) {
+	if read {
+		if s.setDep(j, i, shift) {
+			s.holders.SetRT(id, i)
 			return core.Accept, 0
 		}
+		// Line 9: the read may slot between the most recent write and the
+		// most recent read without becoming the most recent reader.
+		if j == rt {
+			if s.opts.RelaxedReadCheck {
+				if s.setDep(wt, i, shift) {
+					return core.Accept, 0
+				}
+			} else if s.less(wt, i) {
+				return core.Accept, 0
+			}
+		}
+		return core.Reject, j
 	}
-	return core.Reject, j
-}
-
-// stepWrite implements the write arm of the Scheduler procedure.
-func (s *Scheduler) stepWrite(i int, x string) (core.Verdict, int) {
-	j := s.maxHolder(x)
-	if s.setDep(j, i, x) {
-		s.repin(x, &s.wt, i)
+	if s.setDep(j, i, shift) {
+		s.holders.SetWT(id, i)
 		return core.Accept, 0
 	}
 	// Thomas write rule: if TS(RT(x)) < TS(i) < TS(WT(x)), the write is
 	// obsolete and can be ignored.
-	if s.opts.ThomasWriteRule && j == s.wt[x] && s.less(i, s.wt[x]) && s.setDep(s.rt[x], i, x) {
+	if s.opts.ThomasWriteRule && j == wt && s.less(i, wt) && s.setDep(rt, i, shift) {
 		return core.AcceptIgnored, 0
 	}
 	return core.Reject, j
 }
 
-// repin moves the RT or WT index for x to txn, maintaining pin counts used
-// for vector storage reclamation (implementation issue (b)).
-func (s *Scheduler) repin(x string, table *map[string]int, txn int) {
-	old := (*table)[x]
-	if old == txn {
-		return
-	}
-	(*table)[x] = txn
-	s.pins[txn]++
-	s.unpin(old)
-}
-
-// unpin decrements old's pin count (one pin per RT/WT slot it occupies)
-// and reclaims its vector if the transaction is finished and unreferenced.
-func (s *Scheduler) unpin(old int) {
-	if old == 0 {
-		return
-	}
-	s.pins[old]--
-	s.maybeReclaim(old)
-}
-
-// maybeReclaim frees TS(i) storage once transaction i is finished and no
-// longer the most recent read/write timestamp of any item.
-func (s *Scheduler) maybeReclaim(i int) {
-	if i == 0 {
-		return
-	}
-	if s.done[i] && s.pins[i] <= 0 {
-		s.tab.Drop(i)
-		delete(s.pins, i)
-		delete(s.done, i)
-	}
-}
-
 // Commit marks transaction i finished; its vector storage is reclaimed as
 // soon as it stops being a most-recent read or write timestamp.
-func (s *Scheduler) Commit(i int) {
-	s.done[i] = true
-	s.maybeReclaim(i)
-}
+func (s *Scheduler) Commit(i int) { s.holders.Finish(i) }
 
 // Abort discards transaction i. blocker is the Blocker from the rejecting
 // Decision (0 if the abort had another cause). With StarvationAvoidance
@@ -325,8 +305,7 @@ func (s *Scheduler) Abort(i, blocker int) {
 			return
 		}
 	}
-	s.done[i] = true
-	s.maybeReclaim(i)
+	s.holders.Finish(i)
 }
 
 // LiveVectors returns the number of vectors currently held in the table

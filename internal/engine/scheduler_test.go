@@ -132,7 +132,7 @@ func TestHotItemEncoding(t *testing.T) {
 	s := NewScheduler(Options{K: 4, HotItems: map[string]bool{"x": true}})
 	s.SeedVector(1, Int(1), Int(3), Undef, Undef)
 	// Encode T1 -> T2 due to hot item x.
-	if !s.setDep(1, 2, "x") {
+	if !s.setDep(1, 2, s.hotID(s.names.ID("x"))) {
 		t.Fatal("setDep failed")
 	}
 	if got := s.Vector(1).String(); got != "<1,3,1,*>" {
@@ -154,7 +154,7 @@ func TestHotItemEncodingCold(t *testing.T) {
 	// (leftmost) position.
 	s := NewScheduler(Options{K: 4})
 	s.SeedVector(1, Int(1), Int(3), Undef, Undef)
-	if !s.setDep(1, 2, "x") {
+	if !s.setDep(1, 2, false) {
 		t.Fatal("setDep failed")
 	}
 	if got := s.Vector(2).String(); got != "<2,*,*,*>" {
@@ -164,13 +164,14 @@ func TestHotItemEncodingCold(t *testing.T) {
 
 func TestHotThresholdDynamic(t *testing.T) {
 	s := NewScheduler(Options{K: 4, HotThreshold: 3})
-	if s.hot("x") {
+	x := s.names.ID("x")
+	if s.hotID(x) {
 		t.Fatal("x hot before any access")
 	}
-	for i := 0; i < 3; i++ {
-		s.access["x"]++
+	for i := 1; i <= 3; i++ {
+		s.StepReadID(i, x)
 	}
-	if !s.hot("x") {
+	if !s.hotID(x) {
 		t.Fatal("x not hot after reaching threshold")
 	}
 }

@@ -22,7 +22,7 @@ import (
 // ordered locking, and the Section VI remark that vector operations on
 // different items proceed concurrently:
 //
-//  1. a hash-striped per-item LatchTable serializes the two accesses
+//  1. an id-striped per-item LatchTable serializes the two accesses
 //     that conflict on an item — reading/updating RT(x), WT(x) and the
 //     access counts — with multi-item acquisitions (a deferred commit's
 //     validate-and-publish) taking stripes in ascending order;
@@ -53,6 +53,7 @@ type Striped struct {
 	opts  Options
 	k     int
 	names *intern.Table
+	hot   []bool // Options.HotItems by id
 
 	latches *core.LatchTable
 	stripes []itemStripe
@@ -197,6 +198,7 @@ func newStriped(opts Options, nStripes int, names *intern.Table) *Striped {
 		opts:     opts,
 		k:        opts.K,
 		names:    names,
+		hot:      hotIDs(opts.HotItems, names),
 		latches:  core.NewLatchTable(nStripes),
 		counters: NewLocalCounters(),
 		clock:    make([]int64, opts.K),
@@ -378,28 +380,16 @@ retry:
 func (s *Striped) Step(op oplog.Op) core.Decision {
 	unlock := s.latches.Lock(op.Items...)
 	defer unlock()
-	var ignored []string
-	d := core.Decision{Op: op, Verdict: core.Accept}
-	for _, x := range op.Items {
-		v, blocker := s.stepItem(op.Txn, s.names.ID(x), op.Kind == oplog.Read)
-		if v == core.Reject {
-			d = core.Decision{Op: op, Verdict: core.Reject, Blocker: blocker, Item: x}
-			hook.Observe("engine.decision", x, int64(op.Txn), int64(v))
-			if s.OnDecision != nil {
-				s.OnDecision(d)
-			}
-			return d
+	d := StepOp(op, s.names, func(id int32) (core.Verdict, int) {
+		return s.stepItem(op.Txn, id, op.Kind == oplog.Read)
+	})
+	// Stamp the rejecting item, or the first one of an accepted operation.
+	if d.Verdict == core.Reject || len(op.Items) > 0 {
+		x := d.Item
+		if d.Verdict != core.Reject {
+			x = op.Items[0]
 		}
-		if v == core.AcceptIgnored {
-			ignored = append(ignored, x)
-		}
-	}
-	if len(ignored) == len(op.Items) {
-		d.Verdict = core.AcceptIgnored
-	}
-	d.IgnoredItems = ignored
-	if len(op.Items) > 0 {
-		hook.Observe("engine.decision", op.Items[0], int64(op.Txn), int64(d.Verdict))
+		hook.Observe("engine.decision", x, int64(op.Txn), int64(d.Verdict))
 	}
 	if s.OnDecision != nil {
 		s.OnDecision(d)
@@ -516,10 +506,8 @@ func (s *Striped) vecLess(a, b *core.Vector) bool {
 // hotID reports whether the item qualifies for right-shifted encoding.
 // The caller holds the item's latch (access counts live under it).
 func (s *Striped) hotID(st *itemStripe, li int, id int32) bool {
-	if len(s.opts.HotItems) > 0 && s.opts.HotItems[s.names.Name(id)] {
-		return true
-	}
-	return s.opts.HotThreshold > 0 && int(st.access[li]) >= s.opts.HotThreshold
+	return (int(id) < len(s.hot) && s.hot[id]) ||
+		(s.opts.HotThreshold > 0 && int(st.access[li]) >= s.opts.HotThreshold)
 }
 
 // setDep is procedure Set(j, i) with both entries locked; shift is the

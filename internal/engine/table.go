@@ -32,6 +32,9 @@ type VectorTable struct {
 	Monotonic bool
 	// OnAssign, when non-nil, observes every element assignment.
 	OnAssign func(id, pos int, val int64)
+	// sink is the one reusable encode sink: Set passes its address, so an
+	// encode boxes no fresh Sink value.
+	sink tableSink
 }
 
 // NewVectorTable returns a table of k-element vectors with TS(0) installed.
@@ -159,7 +162,7 @@ type tableSink struct {
 	j, i int
 }
 
-func (s tableSink) Assign(side Side, pos int, val int64) {
+func (s *tableSink) Assign(side Side, pos int, val int64) {
 	if side == SideJ {
 		s.t.assign(s.j, pos, val)
 	} else {
@@ -167,19 +170,20 @@ func (s tableSink) Assign(side Side, pos int, val int64) {
 	}
 }
 
-func (s tableSink) Upper(m int, floor int64) int64 { return s.t.upper(m, floor) }
+func (s *tableSink) Upper(m int, floor int64) int64 { return s.t.upper(m, floor) }
 
 // Set implements procedure Set(j, i): establish or encode TS(j) < TS(i),
 // reporting success. When shift is true the dependency is pushed toward
 // the right end of the vectors (the Section III-D-5 optimized encoding for
 // hot items) whenever possible.
 func (t *VectorTable) Set(j, i int, shift bool) bool {
+	t.sink = tableSink{t: t, j: j, i: i}
 	return Dep{
 		J: j, I: i,
 		VJ: t.Vector(j), VI: t.Vector(i),
 		K:     t.k,
 		Alloc: t.counters,
-		Sink:  tableSink{t: t, j: j, i: i},
+		Sink:  &t.sink,
 		Shift: shift,
 	}.Encode()
 }

@@ -16,6 +16,7 @@
 package history
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/oplog"
@@ -74,12 +75,16 @@ func (r *Recorder) dropUncommitted(txn int) {
 	r.ops = keep
 }
 
-// Read implements sched.Scheduler.
+// Read implements sched.Scheduler. A read of an item the transaction
+// has itself written is served from its own buffer: it touches no
+// shared state, so it is not an effect and is not recorded (recording
+// it would invent a dependency on every writer that commits before the
+// transaction's own write takes effect).
 func (r *Recorder) Read(txn int, item string) (int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	v, err := r.inner.Read(txn, item)
-	if err == nil {
+	if err == nil && !slices.Contains(r.writesOf[txn], item) {
 		r.ops = append(r.ops, oplog.R(txn, item))
 	}
 	return v, err

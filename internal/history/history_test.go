@@ -60,6 +60,39 @@ func TestRecorderDropsAbortedOps(t *testing.T) {
 	}
 }
 
+// A read of the transaction's own buffered write is not an effect: T1
+// reads back the x it wrote, T2 overwrites x and commits in between.
+// Logging R1[x] would put it after nothing and before W2[x] W1[x],
+// inventing T1 -> T2 next to the real T2 -> T1.
+func TestRecorderSkipsReadOfOwnWrite(t *testing.T) {
+	st := storage.New()
+	r := Wrap(sched.NewMT(st, sched.MTOptions{Core: engine.Options{K: 2}, DeferWrites: true}))
+	r.Begin(1)
+	if err := r.Write(1, "x", 1); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := r.Read(1, "x"); err != nil || v != 1 {
+		t.Fatalf("own read = %d, %v", v, err)
+	}
+	r.Begin(2)
+	if err := r.Write(2, "x", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Commit(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	l := r.CommittedLog()
+	if got := l.String(); got != "W2[x] W1[x]" {
+		t.Fatalf("log = %q, want the two write effects only", got)
+	}
+	if !classify.DSR(l) {
+		t.Fatalf("committed history not DSR: %s", l)
+	}
+}
+
 func TestRecorderDropsFailedCommit(t *testing.T) {
 	st := storage.New()
 	inner := tsto.New(st, tsto.Options{DeferWrites: true})

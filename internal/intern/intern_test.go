@@ -90,3 +90,28 @@ func TestTableSteadyLookupAllocFree(t *testing.T) {
 		t.Fatalf("steady ID+Name allocates %v/op, want 0", allocs)
 	}
 }
+
+// A table that stays below promoteMin names is served by the lock-free
+// scan of the published names alone: no read map is ever built, and a
+// repeat lookup neither allocates nor (the point) takes the mutex.
+func TestSmallTableNeverPromotes(t *testing.T) {
+	tb := New()
+	const names = promoteMin - 1
+	for i := 0; i < names; i++ {
+		tb.ID(fmt.Sprintf("x%02d", i))
+	}
+	if n := len(*tb.read.Load()); n != 0 {
+		t.Fatalf("read map holds %d names after %d interned, want none", n, names)
+	}
+	tb.mu.Lock() // a repeat lookup that needed the mutex would deadlock here
+	defer tb.mu.Unlock()
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < names; i++ {
+			if tb.ID(tb.Name(int32(i))) != int32(i) {
+				t.Fatal("wrong id")
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("small-table lookups allocate %v/run, want 0", allocs)
+	}
+}

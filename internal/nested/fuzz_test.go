@@ -6,12 +6,16 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/core"
+	"repro/internal/intern"
 	"repro/internal/oplog"
 )
 
 // Lifecycle fuzz for the hierarchical protocol: random group shapes and
 // operation sequences must never panic, and accepted abort-free
-// sequences must be D-serializable.
+// sequences must be D-serializable — with commits in the sequence, so
+// level-0 vectors are reclaimed under it. A twin driven through
+// StepReadID/StepWriteID instead of Step(op) must agree with it on every
+// verdict and blocker, and on every vector and watermark at the end.
 func TestFuzzNestedLifecycle(t *testing.T) {
 	items := []string{"a", "b", "c"}
 	for seed := int64(0); seed < 4000; seed++ {
@@ -45,7 +49,7 @@ func TestFuzzNestedLifecycle(t *testing.T) {
 			superOf[g] = 1 + rng.Intn(2)
 		}
 		_ = unitOf
-		s := NewScheduler(Options{
+		opts := Options{
 			Ks: ks,
 			UnitOf: func(txn, lvl int) int {
 				if lvl == 1 {
@@ -53,8 +57,12 @@ func TestFuzzNestedLifecycle(t *testing.T) {
 				}
 				return superOf[groupOf[txn]]
 			},
-		})
+		}
+		s := NewScheduler(opts)
+		names := intern.New()
+		byID := NewSchedulerInterned(opts, names)
 		var accepted []oplog.Op
+		retired := map[int]bool{} // committed: a later op would be a new incarnation
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -70,9 +78,43 @@ func TestFuzzNestedLifecycle(t *testing.T) {
 				} else {
 					op = oplog.W(txn, it)
 				}
-				if d := s.Step(op); d.Verdict == core.Accept {
+				if retired[txn] {
+					continue
+				}
+				if step%7 == 6 {
+					s.Commit(txn)
+					byID.Commit(txn)
+					retired[txn] = true
+					continue
+				}
+				d := s.Step(op)
+				if d.Verdict == core.Accept {
 					accepted = append(accepted, op)
 				}
+				step := byID.StepWriteID
+				if op.Kind == oplog.Read {
+					step = byID.StepReadID
+				}
+				if v, blocker := step(txn, names.ID(it)); v != d.Verdict || blocker != d.Blocker {
+					t.Fatalf("seed %d %s: Step = %v by %d, id form = %v by %d", seed, op, d.Verdict, d.Blocker, v, blocker)
+				}
+			}
+			if s.LiveVectors() != byID.LiveVectors() {
+				t.Fatalf("seed %d: %d level-0 vectors by name, %d by id", seed, s.LiveVectors(), byID.LiveVectors())
+			}
+			for id := 0; id <= 5; id++ {
+				if a, b := s.TxnVector(id), byID.TxnVector(id); a.String() != b.String() {
+					t.Fatalf("seed %d: TS(%d) = %v by name, %v by id", seed, id, a, b)
+				}
+				for lvl := 1; lvl < levels; lvl++ {
+					if a, b := s.UnitVector(lvl, id), byID.UnitVector(lvl, id); a.String() != b.String() {
+						t.Fatalf("seed %d: level %d unit %d = %v by name, %v by id", seed, lvl, id, a, b)
+					}
+				}
+			}
+			alo, ahi := s.Watermarks()
+			if blo, bhi := byID.Watermarks(); alo != blo || ahi != bhi {
+				t.Fatalf("seed %d: watermarks (%d,%d) by name, (%d,%d) by id", seed, alo, ahi, blo, bhi)
 			}
 		}()
 		if len(accepted) > 0 && !classify.DSR(oplog.NewLog(accepted...)) {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/intern"
 	"repro/internal/oplog"
 )
 
@@ -33,26 +34,33 @@ type Options struct {
 }
 
 // Scheduler is the hierarchical multidimensional timestamp scheduler.
+// It is not safe for concurrent use; the caller serializes access.
 type Scheduler struct {
 	opts   Options
 	tables []*engine.VectorTable // tables[lvl]; lvl 0 = transactions
-	rt     map[string]int
-	wt     map[string]int
+	names  *intern.Table
+	// holders is RT(x)/WT(x) by item id. It reclaims a finished
+	// transaction's level-0 vector by MT(k)'s pin-count rule; unit
+	// vectors at the levels above are static and stay.
+	holders *engine.Holders
 }
 
-// NewScheduler returns an initialized MT(k1, ..., kl) scheduler.
-func NewScheduler(opts Options) *Scheduler {
+// NewScheduler returns an initialized MT(k1, ..., kl) scheduler with an
+// item-intern table of its own.
+func NewScheduler(opts Options) *Scheduler { return NewSchedulerInterned(opts, intern.New()) }
+
+// NewSchedulerInterned returns an MT(k1, ..., kl) scheduler that shares
+// the given intern table (the backing store's, so its ids are the
+// runtime's).
+func NewSchedulerInterned(opts Options, names *intern.Table) *Scheduler {
 	if len(opts.Ks) == 0 {
 		panic("nested: Options.Ks must not be empty")
 	}
-	s := &Scheduler{
-		opts: opts,
-		rt:   make(map[string]int),
-		wt:   make(map[string]int),
-	}
+	s := &Scheduler{opts: opts, names: names}
 	for _, k := range opts.Ks {
 		s.tables = append(s.tables, engine.NewVectorTable(k))
 	}
+	s.holders = engine.NewHolders(s.tables[0])
 	return s
 }
 
@@ -135,6 +143,10 @@ func (s *Scheduler) RaiseWatermarks(lo, hi int64) {
 	}
 }
 
+// LiveVectors returns the number of transaction-level vectors currently
+// held (including T_0), for storage-reclamation tests.
+func (s *Scheduler) LiveVectors() int { return s.tables[0].Len() }
+
 // TxnVector returns a copy of the transaction-level vector TS(i).
 func (s *Scheduler) TxnVector(i int) *core.Vector { return s.tables[0].Vector(i).Clone() }
 
@@ -144,38 +156,57 @@ func (s *Scheduler) UnitVector(lvl, id int) *core.Vector {
 	return s.tables[lvl].Vector(id).Clone()
 }
 
-// maxHolder picks RT(x) or WT(x), whichever has the larger timestamp in
-// the hierarchical order (they are always comparable, like in MT(k)).
-func (s *Scheduler) maxHolder(x string) int {
-	if s.less(s.rt[x], s.wt[x]) {
-		return s.wt[x]
-	}
-	return s.rt[x]
+// Step schedules one operation in log notation.
+func (s *Scheduler) Step(op oplog.Op) core.Decision {
+	return engine.StepOp(op, s.names, func(id int32) (core.Verdict, int) {
+		return s.stepItem(op.Txn, id, op.Kind == oplog.Read)
+	})
 }
 
-// Step schedules one operation under the hierarchical protocol.
-func (s *Scheduler) Step(op oplog.Op) core.Decision {
-	for _, x := range op.Items {
-		j := s.maxHolder(x)
-		if op.Kind == oplog.Read {
-			if s.set(j, op.Txn) {
-				s.rt[x] = op.Txn
-				continue
-			}
-			// The line-9 analogue: slot between the write and the read.
-			if j == s.rt[x] && s.less(s.wt[x], op.Txn) {
-				continue
-			}
-			return core.Decision{Op: op, Verdict: core.Reject, Blocker: j, Item: x}
-		}
-		if s.set(j, op.Txn) {
-			s.wt[x] = op.Txn
-			continue
-		}
-		return core.Decision{Op: op, Verdict: core.Reject, Blocker: j, Item: x}
-	}
-	return core.Decision{Op: op, Verdict: core.Accept}
+// StepReadID schedules a read of one interned item under the
+// hierarchical protocol; on Reject the int names the blocker.
+func (s *Scheduler) StepReadID(txn int, id int32) (core.Verdict, int) {
+	return s.stepItem(txn, id, true)
 }
+
+// StepWriteID is the write analogue of StepReadID.
+func (s *Scheduler) StepWriteID(txn int, id int32) (core.Verdict, int) {
+	return s.stepItem(txn, id, false)
+}
+
+func (s *Scheduler) stepItem(i int, id int32, read bool) (core.Verdict, int) {
+	s.holders.Live(i)
+	rt, wt := s.holders.Of(id)
+	// j := RT(x) or WT(x), whichever has the larger timestamp in the
+	// hierarchical order (they are always comparable, like in MT(k)).
+	j := rt
+	if s.less(rt, wt) {
+		j = wt
+	}
+	if s.set(j, i) {
+		if read {
+			s.holders.SetRT(id, i)
+		} else {
+			s.holders.SetWT(id, i)
+		}
+		return core.Accept, 0
+	}
+	// The line-9 analogue: a read may slot between the write and the read.
+	if read && j == rt && s.less(wt, i) {
+		return core.Accept, 0
+	}
+	return core.Reject, j
+}
+
+// Commit marks transaction i finished: its level-0 vector is reclaimed
+// once no item names it as RT or WT.
+func (s *Scheduler) Commit(i int) { s.holders.Finish(i) }
+
+// Abort discards transaction i. The hierarchical tables have no
+// flush-and-reseed machinery, so the blocker is not used: a restarted
+// incarnation starts from a fresh vector unless an item still pins the
+// old one.
+func (s *Scheduler) Abort(i, blocker int) { s.holders.Finish(i) }
 
 // AcceptLog runs a complete log, returning (true, -1) on full acceptance
 // or (false, i) with the index of the first rejected operation.

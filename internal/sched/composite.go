@@ -6,7 +6,7 @@ import (
 	"repro/internal/composite"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/oplog"
+	"repro/internal/intern"
 	"repro/internal/storage"
 )
 
@@ -33,7 +33,7 @@ type Composite struct {
 // NewComposite returns an MT(k⁺) runtime scheduler on the production
 // path: item latches let storage accesses on disjoint items overlap.
 func NewComposite(store *storage.Store, k int, sub engine.Options) *Composite {
-	p := newEpochComposite(k, sub)
+	p := newEpochComposite(k, sub, store.Interner())
 	return &Composite{newSerialAdapter(store, compositeFamily(k, ""), p), p}
 }
 
@@ -41,7 +41,7 @@ func NewComposite(store *storage.Store, k int, sub engine.Options) *Composite {
 // lifecycle: every store access runs under the protocol mutex. It is
 // the differential reference NewComposite is checked against.
 func NewCompositeCoarse(store *storage.Store, k int, sub engine.Options) *Composite {
-	p := newEpochComposite(k, sub)
+	p := newEpochComposite(k, sub, store.Interner())
 	return &Composite{newReference(store, compositeFamily(k, "/coarse"), p), p}
 }
 
@@ -57,7 +57,7 @@ func compositeFamily(k int, variant string) family {
 // diagnostics; epoch restarts swap it, so quiesce before calling).
 func (c *Composite) Protocol() *composite.Scheduler { return c.proto.cur }
 
-// epochComposite is composite.Scheduler as a protocol, plus Algorithm 2
+// epochComposite is composite.Scheduler as a kernel, plus Algorithm 2
 // step 4: when every subprotocol has stopped, all active transactions
 // abort and the composite machinery restarts fresh (a new epoch). A
 // transaction belongs to the epoch of its first step; once that epoch
@@ -67,31 +67,45 @@ func (c *Composite) Protocol() *composite.Scheduler { return c.proto.cur }
 // operation of the new epoch is ordered after its publish.)
 type epochComposite struct {
 	opts  composite.Options
+	names *intern.Table // the store's, handed to every epoch's scheduler
 	cur   *composite.Scheduler
 	epoch uint64
 	born  map[int]uint64 // epoch of each stepped, unfinished transaction
 }
 
-func newEpochComposite(k int, sub engine.Options) *epochComposite {
+func newEpochComposite(k int, sub engine.Options, names *intern.Table) *epochComposite {
 	opts := composite.Options{K: k, Sub: sub}
-	return &epochComposite{opts: opts, cur: composite.NewScheduler(opts), born: make(map[int]uint64)}
+	return &epochComposite{
+		opts: opts, names: names,
+		cur:  composite.NewSchedulerInterned(opts, names),
+		born: make(map[int]uint64),
+	}
 }
 
-// Step implements protocol. A composite reject names no blocker.
-func (c *epochComposite) Step(op oplog.Op) core.Decision {
-	if e, stepped := c.born[op.Txn]; !stepped {
-		c.born[op.Txn] = c.epoch
+// StepReadID implements kernel. A composite reject names no blocker.
+func (c *epochComposite) StepReadID(txn int, id int32) (core.Verdict, int) {
+	return c.step(txn, id, (*composite.Scheduler).StepReadID), 0
+}
+
+// StepWriteID implements kernel.
+func (c *epochComposite) StepWriteID(txn int, id int32) (core.Verdict, int) {
+	return c.step(txn, id, (*composite.Scheduler).StepWriteID), 0
+}
+
+func (c *epochComposite) step(txn int, id int32, arm func(*composite.Scheduler, int, int32) (core.Verdict, int)) core.Verdict {
+	if e, stepped := c.born[txn]; !stepped {
+		c.born[txn] = c.epoch
 	} else if e != c.epoch {
-		return core.Decision{Op: op, Verdict: core.Reject}
+		return core.Reject
 	}
-	if c.cur.Step(op).Verdict == core.Reject {
+	v, _ := arm(c.cur, txn, id)
+	if v == core.Reject {
 		// All subprotocols stopped: restart (Algorithm 2 step 4-i). The
 		// transactions of the old epoch abort at their next step.
 		c.epoch++
-		c.cur = composite.NewScheduler(c.opts)
-		return core.Decision{Op: op, Verdict: core.Reject}
+		c.cur = composite.NewSchedulerInterned(c.opts, c.names)
 	}
-	return core.Decision{Op: op, Verdict: core.Accept}
+	return v
 }
 
 // retire forgets txn and reports whether the current scheduler knows
@@ -102,25 +116,25 @@ func (c *epochComposite) retire(txn int) bool {
 	return stepped && e == c.epoch
 }
 
-// Commit implements protocol.
+// Commit implements kernel.
 func (c *epochComposite) Commit(txn int) {
 	if c.retire(txn) {
 		c.cur.Commit(txn)
 	}
 }
 
-// Abort implements protocol.
+// Abort implements kernel.
 func (c *epochComposite) Abort(txn, blocker int) {
 	if c.retire(txn) {
 		c.cur.Abort(txn, blocker)
 	}
 }
 
-// Watermarks implements protocol. An epoch restart replaces the
+// Watermarks implements kernel. An epoch restart replaces the
 // subprotocols with fresh counters, so the instantaneous max can drop —
 // the log writer's monotone clamp keeps the persisted watermarks valid
 // (they stay at the all-time max, which is exactly the safe seed).
 func (c *epochComposite) Watermarks() (lo, hi int64) { return c.cur.Watermarks() }
 
-// RaiseWatermarks implements protocol.
+// RaiseWatermarks implements kernel.
 func (c *epochComposite) RaiseWatermarks(lo, hi int64) { c.cur.RaiseWatermarks(lo, hi) }

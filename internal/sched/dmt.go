@@ -157,6 +157,7 @@ func (d *DMT) Degraded() DegradedStats {
 func NewDMT(store *storage.Store, opts dmt.Options) *DMT {
 	d := newDMT(store, opts)
 	d.latches = core.NewLatchTable(engine.DefaultStripes)
+	d.latches.BindInterner(store.Interner())
 	return d
 }
 

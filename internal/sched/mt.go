@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/oplog"
 	"repro/internal/storage"
 )
 
@@ -69,18 +68,6 @@ func (f *family) reason(stage string) string {
 // attempt whose straggler arrives late — with a plain abort, not a panic.
 const noIncarnation = "no live incarnation"
 
-// protocol is an unsynchronised MT-family scheduler in the form the
-// paper states it: one operation at a time, items by name, the caller
-// serializing every call. engine.Scheduler satisfies it as is, MT(k⁺)
-// and MT(k1,…,kl) through the shims next to their shells.
-type protocol interface {
-	Step(op oplog.Op) core.Decision
-	Commit(txn int)
-	Abort(txn, blocker int)
-	Watermarks() (lo, hi int64)
-	RaiseWatermarks(lo, hi int64)
-}
-
 // mtTxn is the runtime state of one live transaction.
 type mtTxn struct {
 	writes  map[string]int64
@@ -99,13 +86,15 @@ type mtTxn struct {
 // protocol step AND the data access it orders, string-keyed buffers, no
 // pooling. It is not the production path (that is the adapter); it
 // stays because equiv_test and the schedule explorer's parity oracle
-// need a second, independent implementation to compare the adapter
-// against, decision for decision. It takes any protocol, so every
-// family has its reference without a hand-written coarse twin.
+// need a second, independent implementation of the lifecycle — locking,
+// buffering, guards, publish order — to compare the adapter against,
+// decision for decision. It takes any unsynchronised kernel, so every
+// family has its reference without a hand-written coarse twin; an item
+// is interned once per call, for the protocol step only.
 type MT struct {
 	family
 	mu    sync.Mutex
-	sched protocol
+	sched kernel
 	core  *engine.Scheduler // sched again when it is MT(k) (immediate-mode guards), else nil
 	store *storage.Store
 	txns  map[int]*mtTxn
@@ -114,15 +103,16 @@ type MT struct {
 // NewMT returns the reference MT(k)-family runtime scheduler over the
 // store.
 func NewMT(store *storage.Store, opts MTOptions) *MT {
-	eng := engine.NewScheduler(opts.Core)
+	eng := engine.NewSchedulerInterned(opts.Core, store.Interner())
 	m := newReference(store, opts.family(""), eng)
 	m.core = eng
 	return m
 }
 
-// newReference wraps the reference lifecycle around p.
-func newReference(store *storage.Store, f family, p protocol) *MT {
-	return &MT{family: f, sched: p, store: store, txns: make(map[int]*mtTxn)}
+// newReference wraps the reference lifecycle around k, which must index
+// items by the store's interned ids.
+func newReference(store *storage.Store, f family, k kernel) *MT {
+	return &MT{family: f, sched: k, store: store, txns: make(map[int]*mtTxn)}
 }
 
 // Begin implements Scheduler.
@@ -153,14 +143,14 @@ func (m *MT) Read(txn int, item string) (int64, error) {
 	if v, ok := st.writes[item]; ok {
 		return v, nil
 	}
-	d := m.sched.Step(oplog.R(txn, item))
-	if d.Verdict == core.Reject {
-		st.blocker = d.Blocker
-		_, live := m.txns[d.Blocker]
-		return 0, abortBy(txn, d.Blocker, live, m.reason("read rejected"))
+	id := m.store.IDOf(item)
+	if v, blocker := m.sched.StepReadID(txn, id); v == core.Reject {
+		st.blocker = blocker
+		_, live := m.txns[blocker]
+		return 0, abortBy(txn, blocker, live, m.reason("read rejected"))
 	}
 	if !m.deferred {
-		if w := m.core.WT(item); w != txn {
+		if _, w := m.core.Holders(id); w != txn {
 			if _, live := m.txns[w]; live && !m.core.Vector(txn).Less(m.core.Vector(w)) {
 				st.blocker = w
 				return 0, Abort(txn, w, "read ordered after uncommitted writer")
@@ -190,18 +180,18 @@ func (m *MT) Write(txn int, item string, v int64) error {
 		return Abort(txn, 0, noIncarnation)
 	}
 	if !m.deferred {
-		if w := m.core.WT(item); w != 0 && w != txn {
+		id := m.store.IDOf(item)
+		if _, w := m.core.Holders(id); w != 0 && w != txn {
 			if _, live := m.txns[w]; live {
 				st.blocker = w
 				return Abort(txn, w, "write conflicts with uncommitted writer")
 			}
 		}
-		d := m.sched.Step(oplog.W(txn, item))
-		switch d.Verdict {
+		switch v, blocker := m.sched.StepWriteID(txn, id); v {
 		case core.Reject:
-			st.blocker = d.Blocker
-			_, live := m.txns[d.Blocker]
-			return abortBy(txn, d.Blocker, live, m.reason("write rejected"))
+			st.blocker = blocker
+			_, live := m.txns[blocker]
+			return abortBy(txn, blocker, live, m.reason("write rejected"))
 		case core.AcceptIgnored:
 			// Thomas write rule: the write is obsolete; drop it.
 			delete(st.writes, item)
@@ -227,14 +217,13 @@ func (m *MT) Commit(txn int) error {
 	}
 	if m.deferred {
 		for _, x := range st.order {
-			d := m.sched.Step(oplog.W(txn, x))
-			switch d.Verdict {
+			switch v, blocker := m.sched.StepWriteID(txn, m.store.IDOf(x)); v {
 			case core.Reject:
-				st.blocker = d.Blocker
-				m.sched.Abort(txn, d.Blocker)
+				st.blocker = blocker
+				m.sched.Abort(txn, blocker)
 				delete(m.txns, txn)
-				_, live := m.txns[d.Blocker]
-				return abortBy(txn, d.Blocker, live, m.reason("commit-time write validation failed"))
+				_, live := m.txns[blocker]
+				return abortBy(txn, blocker, live, m.reason("commit-time write validation failed"))
 			case core.AcceptIgnored:
 				delete(st.writes, x)
 			}
@@ -295,8 +284,8 @@ func (m *MT) TryPartialRestart(txn int, readItems []string) bool {
 	m.sched.Abort(txn, st.blocker)
 	st.blocker = 0
 	for _, x := range readItems {
-		if d := m.sched.Step(oplog.R(txn, x)); d.Verdict == core.Reject {
-			st.blocker = d.Blocker
+		if v, blocker := m.sched.StepReadID(txn, m.store.IDOf(x)); v == core.Reject {
+			st.blocker = blocker
 			return false
 		}
 	}

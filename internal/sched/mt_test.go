@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/intern"
+	"repro/internal/nested"
 	"repro/internal/storage"
 )
 
@@ -310,5 +312,73 @@ func TestMTConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if committed == 0 {
 		t.Fatal("no transaction committed")
+	}
+}
+
+// The nested runtime must not keep one level-0 vector per transaction
+// forever: a finished transaction's vector goes once no item names it
+// as RT or WT, so the table stays bounded by items + live transactions
+// however many transactions have committed.
+func TestNestedReclaimsFinishedVectors(t *testing.T) {
+	st := storage.New()
+	items := []string{"a", "b", "c", "d"}
+	for _, x := range items {
+		st.Set(x, 0)
+	}
+	for _, coarse := range []bool{false, true} {
+		n := NewNested(st, NestedOptions{
+			Ks:     []int{2, 2},
+			UnitOf: func(txn, lvl int) int { return txn % 3 },
+			Coarse: coarse,
+		})
+		committed := 0
+		for txn := 1; committed < 10000; txn++ {
+			n.Begin(txn)
+			_, err := n.Read(txn, items[txn%len(items)])
+			if err == nil {
+				err = n.Write(txn, items[(txn+1)%len(items)], int64(txn))
+			}
+			if err == nil {
+				err = n.Commit(txn)
+			}
+			if err != nil {
+				n.Abort(txn)
+				continue
+			}
+			committed++
+			// T_0, at most an RT and a WT holder per item, nobody live.
+			if got, bound := n.Protocol().LiveVectors(), 1+2*len(items); got > bound {
+				t.Fatalf("coarse=%v: %d level-0 vectors after %d commits, bound %d", coarse, got, committed, bound)
+			}
+		}
+	}
+}
+
+// A steady-state step through the serial wrapper — known transaction,
+// known item, mutex, id-indexed RT/WT — allocates nothing on either
+// caller-serialized protocol: no Op, no name, no Decision is built below
+// the Scheduler methods.
+func TestSerialStepAllocFree(t *testing.T) {
+	names := intern.New()
+	x, y := names.ID("x"), names.ID("y")
+	kernels := map[string]kernel{
+		"engine": engine.NewSchedulerInterned(engine.Options{K: 3, HotThreshold: 2}, names),
+		"nested": nested.NewSchedulerInterned(nested.Options{
+			Ks:     []int{2, 2},
+			UnitOf: func(txn, lvl int) int { return txn % 2 },
+		}, names),
+	}
+	for name, k := range kernels {
+		s := &serial{k: k}
+		step := func() {
+			s.StepReadID(1, x)
+			s.StepWriteID(2, y)
+			s.StepReadID(2, x)
+			s.StepReadID(1, y)
+		}
+		step() // first use creates the two vectors and grows the item slices
+		if n := testing.AllocsPerRun(200, step); n != 0 {
+			t.Errorf("%s: serial step allocated %v/run, want 0", name, n)
+		}
 	}
 }

@@ -34,7 +34,7 @@ type Nested struct {
 
 // NewNested returns an MT(k1, ..., kl) runtime scheduler over the store.
 func NewNested(store *storage.Store, opts NestedOptions) *Nested {
-	p := nested.NewScheduler(nested.Options{Ks: opts.Ks, UnitOf: opts.UnitOf})
+	p := nested.NewSchedulerInterned(nested.Options{Ks: opts.Ks, UnitOf: opts.UnitOf}, store.Interner())
 	ks := make([]string, len(opts.Ks))
 	for i, k := range opts.Ks {
 		ks[i] = strconv.Itoa(k)
@@ -42,19 +42,11 @@ func NewNested(store *storage.Store, opts NestedOptions) *Nested {
 	f := family{name: "MT(" + strings.Join(ks, ",") + ")", deferred: true}
 	if opts.Coarse {
 		f.name += "/coarse"
-		return &Nested{newReference(store, f, flatNested{p}), p}
+		return &Nested{newReference(store, f, p), p}
 	}
-	return &Nested{newSerialAdapter(store, f, flatNested{p}), p}
+	return &Nested{newSerialAdapter(store, f, p), p}
 }
 
 // Protocol exposes the underlying hierarchical scheduler (tests,
 // diagnostics); it is unsynchronised, so quiesce before inspecting.
 func (n *Nested) Protocol() *nested.Scheduler { return n.proto }
-
-// flatNested is nested.Scheduler as a protocol. The hierarchical
-// tables have no flush-and-reseed machinery; the lifecycle dropping the
-// runtime state is enough, since deferred writes publish nothing early.
-type flatNested struct{ *nested.Scheduler }
-
-func (flatNested) Commit(int)     {}
-func (flatNested) Abort(int, int) {}

@@ -10,12 +10,17 @@ import (
 	"repro/internal/storage"
 )
 
-// kernel is the protocol under the adapter, in id form: the part of an
-// MT-family scheduler that differs between families — how Set(j, i)
-// encodes a dependency — behind the one surface the transaction
-// lifecycle needs. It must be safe for concurrent use; the adapter
-// holds the item's latch around every step. engine.Striped satisfies
-// it as is; the unsynchronised protocols sit behind serial.
+// kernel is the one protocol seam of this package, in id form: the part
+// of an MT-family scheduler that differs between families — how
+// Set(j, i) encodes a dependency — behind the one surface a transaction
+// lifecycle needs. Names stop at the Scheduler methods: a lifecycle
+// interns an item once and everything below speaks its id. Every
+// protocol is a kernel as it stands — engine.Striped (safe for
+// concurrent use, so the adapter takes it directly), and the
+// caller-serialized engine.Scheduler, nested.Scheduler and
+// epochComposite, which the adapter takes behind serial and the MT
+// reference under its own mutex. The caller holds the item's latch (or
+// the reference's global mutex) around every step.
 type kernel interface {
 	// The step methods run one arm of the scheduler procedure for an
 	// interned item; on Reject the int names the blocker (0 for nobody).

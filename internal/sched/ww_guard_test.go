@@ -8,7 +8,9 @@ import (
 	"repro/internal/engine"
 	"repro/internal/history"
 	"repro/internal/sched"
+	"repro/internal/sgt"
 	"repro/internal/storage"
+	"repro/internal/tsto"
 )
 
 // TestImmediateModeWWGuard pins the lost-update fix the schedule
@@ -32,6 +34,10 @@ func TestImmediateModeWWGuard(t *testing.T) {
 		"striped": func(s *storage.Store) sched.Scheduler {
 			return sched.NewMTStriped(s, sched.MTOptions{Core: engine.Options{K: 2}})
 		},
+		// The two baselines that publish WT(x) at write time had the same
+		// hole until PR 22 (T2's write was admitted, <nil>).
+		"tsto": func(s *storage.Store) sched.Scheduler { return tsto.New(s, tsto.Options{}) },
+		"sgt":  func(s *storage.Store) sched.Scheduler { return sgt.New(s) },
 	}
 	for name, build := range builds {
 		t.Run(name, func(t *testing.T) {

@@ -147,12 +147,8 @@ func (s *SGT) Read(txn int, item string) (int64, error) {
 	if v, ok := st.writes[item]; ok {
 		return v, nil
 	}
-	for _, a := range s.history[item] {
-		if a.wrote && a.txn != txn {
-			if _, live := s.live[a.txn]; live {
-				return 0, sched.Abort(txn, a.txn, "read over uncommitted writer")
-			}
-		}
+	if w := s.liveWriter(txn, item); w != 0 {
+		return 0, sched.Abort(txn, w, "read over uncommitted writer")
 	}
 	if err := s.observe(txn, item, false); err != nil {
 		return 0, err
@@ -160,12 +156,32 @@ func (s *SGT) Read(txn int, item string) (int64, error) {
 	return s.store.Get(item), nil
 }
 
+// liveWriter returns a live transaction other than txn that has written
+// item, 0 if there is none.
+func (s *SGT) liveWriter(txn int, item string) int {
+	for _, a := range s.history[item] {
+		if a.wrote && a.txn != txn {
+			if _, live := s.live[a.txn]; live {
+				return a.txn
+			}
+		}
+	}
+	return 0
+}
+
 // Write implements sched.Scheduler: the conflict edges are inserted at
-// write time; data publishes at commit.
+// write time; data publishes at commit. A write over an item with a live
+// writer aborts, as sched.MT.Write does: the edge would order this
+// writer after that one, but the store takes their values in commit
+// order, so the earlier-ordered one committing last would clobber the
+// later-ordered committed value.
 func (s *SGT) Write(txn int, item string, v int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.state(txn)
+	if w := s.liveWriter(txn, item); w != 0 {
+		return sched.Abort(txn, w, "write conflicts with uncommitted writer")
+	}
 	if err := s.observe(txn, item, true); err != nil {
 		return err
 	}

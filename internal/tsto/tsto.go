@@ -128,11 +128,22 @@ func (t *TO) validateWrite(st *txnState, txn int, item string) (bool, error) {
 }
 
 // Write implements sched.Scheduler.
+//
+// Immediate mode admits at most one uncommitted writer per item, as
+// sched.MT.Write does: wt(x) is published at write time but the data
+// only at commit, so two live writers would publish in commit order and
+// the older one committing last would clobber the younger's committed
+// value. The second writer aborts before the timestamp rules run.
 func (t *TO) Write(txn int, item string, v int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := t.state(txn)
 	if !t.opts.DeferWrites {
+		if w := t.wtxn[item]; w != 0 && w != txn {
+			if _, live := t.txns[w]; live {
+				return sched.Abort(txn, w, "write conflicts with uncommitted writer")
+			}
+		}
 		skip, err := t.validateWrite(st, txn, item)
 		if err != nil {
 			return err

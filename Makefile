@@ -1,10 +1,10 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: ci vet fmt lint vuln build test benchmark-test benchmark-smoke flake shuffle race bench bench-smoke bench-sweep bench-sweep-4 bench-sweep-7 bench-sweep-10 alloc-gate chaos chaos-partition chaos-partition-smoke fuzz-smoke crash overload-smoke explore-smoke explore cover
+.PHONY: ci vet fmt lint vuln docs-check build test benchmark-test benchmark-smoke flake shuffle race bench bench-smoke bench-sweep-7 alloc-gate chaos chaos-partition chaos-partition-smoke fuzz-smoke crash overload-smoke explore-smoke explore cover
 
 # The full gate: what must pass before merging.
-ci: vet fmt lint vuln build test benchmark-test benchmark-smoke shuffle race bench-smoke alloc-gate fuzz-smoke crash chaos-partition-smoke overload-smoke explore-smoke
+ci: vet fmt lint vuln docs-check build test benchmark-test benchmark-smoke shuffle race bench-smoke alloc-gate fuzz-smoke crash chaos-partition-smoke overload-smoke explore-smoke
 
 # benchmark/ is a module of its own, so the root `go vet ./...` never
 # sees it — and it is the one consumer of the internal id-form API
@@ -27,6 +27,13 @@ lint:
 vuln:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "vuln: govulncheck not installed, skipping"; fi
+
+# Every code-formatted `make <target>`, cmd/<name>, internal/<pkg> and
+# bench/<file> in README, DESIGN, EXPERIMENTS and the verify skill must
+# exist in this tree: a deletion that leaves a stale mention fails here,
+# naming file and line.
+docs-check:
+	$(GO) test -run '^TestDocsNameWhatExists$$' .
 
 build:
 	$(GO) build ./...
@@ -76,24 +83,6 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# The reproducible scheduler sweep behind bench/BENCH_3.json (see
-# EXPERIMENTS.md E24). Re-running with the same flags re-runs the
-# identical workload.
-bench-sweep:
-	$(GO) run ./cmd/mtbench -scheds mt-coarse,mt-striped,mtdefer-striped,composite \
-		-workers 1,2,4,8,16 -workloads uniform,zipf -iolat 0,20us -txns 1200 \
-		-csv bench/bench_3.csv -json bench/BENCH_3.json
-
-# The engine-unification sweep behind bench/BENCH_4.json (see
-# EXPERIMENTS.md E25): every engine-backed family coarse vs striped,
-# with per-family speedup columns.
-bench-sweep-4:
-	$(GO) run ./cmd/mtbench \
-		-scheds mt-coarse,mt-striped,composite-coarse,composite-striped,dmt-coarse,dmt-striped \
-		-speedups mt-coarse:mt-striped,composite-coarse:composite-striped,dmt-coarse:dmt-striped \
-		-workers 1,2,4,8 -workloads uniform,zipf -iolat 0,20us -txns 1200 \
-		-csv bench/bench_4.csv -json bench/BENCH_4.json
-
 # Allocation regression gate (EXPERIMENTS.md E29): runs the hot-path
 # benchmarks with -benchmem and checks allocs/op against the budgets in
 # bench/alloc_budget.json. The steady-state engine/adapter benches are
@@ -105,17 +94,6 @@ bench-sweep-4:
 alloc-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkStripedScheduler/(free-store|steady)|BenchmarkDurableCommit/volatile|BenchmarkRuntimeExec' \
 		-benchmem -benchtime 100x . | $(GO) run ./cmd/allocgate -budget bench/alloc_budget.json
-
-# The zero-allocation-hot-path sweep behind bench/BENCH_10.json (see
-# EXPERIMENTS.md E29): same grid as bench-sweep-4 so the rows are
-# directly comparable before/after the interning + pooling rework.
-# GOMAXPROCS=1 matches the BENCH_4 baseline environment.
-bench-sweep-10:
-	GOMAXPROCS=1 $(GO) run ./cmd/mtbench \
-		-scheds mt-coarse,mt-striped,composite-coarse,composite-striped,dmt-coarse,dmt-striped \
-		-speedups mt-coarse:mt-striped,composite-coarse:composite-striped,dmt-coarse:dmt-striped \
-		-workers 1,2,4,8 -workloads uniform,zipf -iolat 0,20us -txns 1200 \
-		-csv bench/bench_10.csv -json bench/BENCH_10.json
 
 # A quick chaos smoke run: DMT(k) under crash + drift + message loss.
 chaos:

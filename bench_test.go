@@ -129,8 +129,8 @@ func BenchmarkAcceptanceCensus(b *testing.B) {
 }
 
 // E6: the Fig. 4 hierarchy census (enumeration + classification of every
-// 2-transaction two-step log; -short for CI speed, the full 3-txn census
-// runs in cmd/mthier).
+// 2-transaction two-step log; the full 3-txn census is
+// `mtexp -exp fig4 -n 3`).
 func BenchmarkHierarchyCensus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := enumerate.RunCensus(2, []string{"x", "y"})
@@ -807,12 +807,9 @@ func BenchmarkSharedComposite(b *testing.B) {
 }
 
 // E24: the striped MT(k) adapter versus the coarse global-mutex
-// reference. With StoreLatency=0 the two mostly measure protocol
-// overhead (on one CPU the striped adapter's extra latching is pure
-// cost); with a simulated per-access store latency the coarse adapter
-// serializes every sleep under its global mutex while the striped one
-// overlaps sleeps on disjoint items — the lock-granularity effect.
-// cmd/mtbench runs the full sweep; this keeps a sample in the suite.
+// reference on a free in-memory store, where the two mostly measure
+// protocol overhead (on one CPU the striped adapter's extra latching is
+// pure cost), plus the steady-state cells make alloc-gate budgets.
 func BenchmarkStripedScheduler(b *testing.B) {
 	mkCoarse := func(st *storage.Store) sched.Scheduler {
 		return sched.NewMT(st, sched.MTOptions{Core: engine.Options{K: 7, StarvationAvoidance: true}})
@@ -823,7 +820,7 @@ func BenchmarkStripedScheduler(b *testing.B) {
 	specs := workload.Config{
 		Txns: 200, OpsPerTxn: 4, Items: 1024, ReadFraction: 0.7, Seed: 7,
 	}.Generate()
-	run := func(b *testing.B, mk func(*storage.Store) sched.Scheduler, lat time.Duration) {
+	run := func(b *testing.B, mk func(*storage.Store) sched.Scheduler) {
 		var committed int64
 		for i := 0; i < b.N; i++ {
 			rep := sim.Run(sim.Config{
@@ -832,19 +829,13 @@ func BenchmarkStripedScheduler(b *testing.B) {
 				Workers:      8,
 				MaxAttempts:  500,
 				Backoff:      10 * time.Microsecond,
-				StoreLatency: lat,
 			})
 			committed += rep.Committed
 		}
 		b.ReportMetric(float64(committed)/float64(b.N), "committed/run")
 	}
-	for _, c := range []struct {
-		name string
-		lat  time.Duration
-	}{{"free-store", 0}, {"iolat=20µs", 20 * time.Microsecond}} {
-		b.Run(c.name+"/coarse", func(b *testing.B) { run(b, mkCoarse, c.lat) })
-		b.Run(c.name+"/striped", func(b *testing.B) { run(b, mkStriped, c.lat) })
-	}
+	b.Run("free-store/coarse", func(b *testing.B) { run(b, mkCoarse) })
+	b.Run("free-store/striped", func(b *testing.B) { run(b, mkStriped) })
 
 	// Steady-state hot path (the tentpole metric: make alloc-gate pins
 	// these at 0 allocs/op via bench/alloc_budget.json). Transaction ids

@@ -5,13 +5,18 @@
 //
 // Usage:
 //
-//	mtexp [-exp name]
+//	mtexp [-exp name] [-n 3] [-items 3] [-witnesses]
+//
+// -n, -items and -witnesses size the fig4 census: every two-step log of
+// n transactions over an alphabet of that many items, classified against
+// 2PL / TO(1) / TO(2) / TO(3) / SSR / DSR / SR.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"repro/internal/classify"
 	"repro/internal/composite"
@@ -33,6 +38,9 @@ type experiment struct {
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (or 'all', 'list')")
+	n := flag.Int("n", 3, "fig4: number of transactions")
+	items := flag.Int("items", 3, "fig4: alphabet size (1-4)")
+	witnesses := flag.Bool("witnesses", false, "fig4: print a witness log per membership region")
 	flag.Parse()
 
 	exps := []experiment{
@@ -41,7 +49,7 @@ func main() {
 		{"table2", "Table II: hot-item chain of Example 3", runTable2},
 		{"table3", "Table III: MT(k1,k2) vectors for Example 4", runTable3},
 		{"table4", "Table IV: read/write-set groups of Example 6", runTable4},
-		{"fig4", "Fig. 4: hierarchy census over enumerated logs", runFig4},
+		{"fig4", "Fig. 4: hierarchy census over enumerated logs", func() { runFig4(*n, *items, *witnesses) }},
 		{"fig5", "Fig. 5: the starvation case and its fix", runFig5},
 		{"fig6", "Fig. 6: parallel vector comparison", runFig6},
 		{"thomas", "Thomas write rule integration", runThomas},
@@ -196,9 +204,23 @@ func runTable4() {
 	fmt.Println("cross-group dependencies are one-way (G1 -> G2): antisymmetric by construction")
 }
 
-func runFig4() {
-	c := enumerate.RunCensus(3, []string{"x", "y", "z"})
+func runFig4(n, items int, witnesses bool) {
+	alphabet := []string{"x", "y", "z", "w"}
+	items = min(max(items, 1), len(alphabet))
+	fmt.Printf("enumerating two-step logs: n=%d items=%d\n", n, items)
+	c := enumerate.RunCensus(n, alphabet[:items])
 	fmt.Print(c.String())
+	if witnesses {
+		var ms []enumerate.Membership
+		for m := range c.Counts {
+			ms = append(ms, m)
+		}
+		sort.Slice(ms, func(i, j int) bool { return ms[i].Key() < ms[j].Key() })
+		fmt.Println("witnesses:")
+		for _, m := range ms {
+			fmt.Printf("  %-40s %s\n", m.Key(), c.Examples[m])
+		}
+	}
 	regions := []struct {
 		name string
 		pred func(enumerate.Membership) bool
@@ -217,12 +239,29 @@ func runFig4() {
 	fmt.Println("region witnesses:")
 	for _, r := range regions {
 		w := c.Witness(r.pred)
-		n := c.ClassCount(r.pred)
 		if w == nil {
 			fmt.Printf("  %-44s EMPTY\n", r.name)
 			continue
 		}
-		fmt.Printf("  %-44s n=%-5d e.g. %s\n", r.name, n, w)
+		fmt.Printf("  %-44s n=%-5d e.g. %s\n", r.name, c.ClassCount(r.pred), w)
+	}
+
+	// Headline class sizes (degree of concurrency, Section III-C).
+	fmt.Println("class populations (degree of concurrency):")
+	for _, cl := range []struct {
+		name string
+		pred func(enumerate.Membership) bool
+	}{
+		{"SR", func(m enumerate.Membership) bool { return m.SR }},
+		{"DSR", func(m enumerate.Membership) bool { return m.DSR }},
+		{"SSR", func(m enumerate.Membership) bool { return m.SSR }},
+		{"2PL", func(m enumerate.Membership) bool { return m.TwoPL }},
+		{"TO(1) def4", func(m enumerate.Membership) bool { return m.TO1 }},
+		{"TO(2)", func(m enumerate.Membership) bool { return m.TO2 }},
+		{"TO(3)", func(m enumerate.Membership) bool { return m.TO3 }},
+		{"TO(3) ∪ TO(1)", func(m enumerate.Membership) bool { return m.TO3 || m.TO1 }},
+	} {
+		fmt.Printf("  %-14s %6d / %d\n", cl.name, c.ClassCount(cl.pred), c.Total)
 	}
 }
 

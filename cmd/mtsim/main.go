@@ -141,17 +141,6 @@ func main() {
 	}
 
 	factories := map[string]func(*storage.Store) sched.Scheduler{
-		"mt": func(st *storage.Store) sched.Scheduler {
-			return sched.NewMT(st, sched.MTOptions{Core: engine.Options{K: *k, StarvationAvoidance: true}})
-		},
-		"mtmono": func(st *storage.Store) sched.Scheduler {
-			return sched.NewMT(st, sched.MTOptions{Core: engine.Options{
-				K: *k, StarvationAvoidance: true, MonotonicEncoding: true}})
-		},
-		"mtdefer": func(st *storage.Store) sched.Scheduler {
-			return sched.NewMT(st, sched.MTOptions{
-				Core: engine.Options{K: *k, StarvationAvoidance: true}, DeferWrites: true})
-		},
 		"composite": func(st *storage.Store) sched.Scheduler {
 			return sched.NewComposite(st, *k, engine.Options{StarvationAvoidance: true})
 		},
@@ -172,6 +161,11 @@ func main() {
 		"dmt": func(st *storage.Store) sched.Scheduler {
 			return sched.NewDMT(st, dmt.Options{K: *k, Sites: *sites})
 		},
+	}
+	for _, name := range []string{"mt", "mtmono", "mtdefer"} {
+		factories[name] = func(st *storage.Store) sched.Scheduler {
+			return sched.NewMTStriped(st, mtOptions(name, *k, nil))
+		}
 	}
 	order := []string{"mt", "mtmono", "mtdefer", "composite", "adaptive", "dmt", "2pl", "to", "occ", "sgt", "interval", "mvmt"}
 
@@ -281,13 +275,8 @@ func runCrashHarness(name string, factory func(*storage.Store) sched.Scheduler,
 			rs[i].ID = 1_000_000 + i
 		}
 		cfg.RestartSpecs = rs
-		deferW, mono := name == "mtdefer", name == "mtmono"
 		cfg.NewTracedScheduler = func(st *storage.Store, trace func(core.Event)) sched.Scheduler {
-			return sched.NewMT(st, sched.MTOptions{
-				Core: engine.Options{K: k, StarvationAvoidance: true,
-					MonotonicEncoding: mono, Trace: trace},
-				DeferWrites: deferW,
-			})
+			return sched.NewMTStriped(st, mtOptions(name, k, trace))
 		}
 	}
 	if point > 0 {
@@ -316,6 +305,16 @@ func runCrashHarness(name string, factory func(*storage.Store) sched.Scheduler,
 	fmt.Printf("crash matrix: %d points, %d failures\n", clean.CleanOps, fails)
 	if fails > 0 {
 		os.Exit(1)
+	}
+}
+
+// mtOptions returns the MT(k) adapter options behind the scheduler
+// names mt, mtmono (monotonic encoding) and mtdefer (deferred writes).
+func mtOptions(name string, k int, trace func(core.Event)) sched.MTOptions {
+	return sched.MTOptions{
+		Core: engine.Options{K: k, StarvationAvoidance: true,
+			MonotonicEncoding: name == "mtmono", Trace: trace},
+		DeferWrites: name == "mtdefer",
 	}
 }
 

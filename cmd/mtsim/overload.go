@@ -84,7 +84,7 @@ func runOverloadSweep(names []string, factories map[string]func(*storage.Store) 
 					Factor: p.Factor, Offered: p.Offered, Workers: p.Workers,
 					Committed: r.Committed, Shed: r.Shed,
 					DeadlineMiss: r.DeadlineMiss, GaveUp: r.GaveUp,
-					AbortRate: r.AbortRate(), Goodput: p.Goodput(),
+					AbortRate: r.AbortRate(), Goodput: r.Throughput(),
 					WallMS: float64(r.Wall.Microseconds()) / 1000,
 				})
 			}

@@ -115,6 +115,20 @@ func (iv *Interval) Begin(txn int) {
 	delete(iv.fin, txn)
 }
 
+// live returns txn's live incarnation, or — for a stray operation on a
+// transaction that never began or has finished — the plain abort
+// sched.Scheduler's contract asks for; an interval parked in fin is for
+// the rt/wt indices only.
+func (iv *Interval) live(txn int) (*txnState, error) {
+	st := iv.txns[txn]
+	if st == nil {
+		return nil, sched.Abort(txn, 0, "no live incarnation")
+	}
+	return st, nil
+}
+
+// state returns the interval of a transaction the rt/wt indices name:
+// live, or finished and parked in fin.
 func (iv *Interval) state(txn int) *txnState {
 	if st := iv.txns[txn]; st != nil {
 		return st
@@ -256,7 +270,10 @@ func (iv *Interval) maxHolder(x string) int {
 func (iv *Interval) Read(txn int, item string) (int64, error) {
 	iv.mu.Lock()
 	defer iv.mu.Unlock()
-	st := iv.state(txn)
+	st, err := iv.live(txn)
+	if err != nil {
+		return 0, err
+	}
 	if v, ok := st.writes[item]; ok {
 		return v, nil
 	}
@@ -272,7 +289,10 @@ func (iv *Interval) Read(txn int, item string) (int64, error) {
 func (iv *Interval) Write(txn int, item string, v int64) error {
 	iv.mu.Lock()
 	defer iv.mu.Unlock()
-	st := iv.state(txn)
+	st, err := iv.live(txn)
+	if err != nil {
+		return err
+	}
 	if _, ok := st.writes[item]; !ok {
 		st.order = append(st.order, item)
 	}
@@ -284,7 +304,10 @@ func (iv *Interval) Write(txn int, item string, v int64) error {
 func (iv *Interval) Commit(txn int) error {
 	iv.mu.Lock()
 	defer iv.mu.Unlock()
-	st := iv.state(txn)
+	st, err := iv.live(txn)
+	if err != nil {
+		return err
+	}
 	for _, x := range st.order {
 		j := iv.maxHolder(x)
 		if !iv.encode(iv.state(j), st) {

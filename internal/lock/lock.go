@@ -6,7 +6,6 @@
 package lock
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/sched"
@@ -199,19 +198,26 @@ func (t *TwoPL) Begin(txn int) {
 	t.txns[txn] = &txnState{writes: make(map[string]int64)}
 }
 
-func (t *TwoPL) state(txn int) *txnState {
+// state returns txn's live incarnation, or — for a stray operation on a
+// transaction that never began or has finished — the plain abort
+// sched.Scheduler's contract asks for, before it can take a lock nobody
+// would release.
+func (t *TwoPL) state(txn int) (*txnState, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := t.txns[txn]
 	if st == nil {
-		panic(fmt.Sprintf("lock: operation on transaction %d without Begin", txn))
+		return nil, sched.Abort(txn, 0, "no live incarnation")
 	}
-	return st
+	return st, nil
 }
 
 // Read implements sched.Scheduler: acquires a shared lock (blocking).
 func (t *TwoPL) Read(txn int, item string) (int64, error) {
-	st := t.state(txn)
+	st, err := t.state(txn)
+	if err != nil {
+		return 0, err
+	}
 	t.mu.Lock()
 	if v, ok := st.writes[item]; ok {
 		t.mu.Unlock()
@@ -227,7 +233,10 @@ func (t *TwoPL) Read(txn int, item string) (int64, error) {
 // Write implements sched.Scheduler: acquires an exclusive lock (blocking)
 // and buffers the value.
 func (t *TwoPL) Write(txn int, item string, v int64) error {
-	st := t.state(txn)
+	st, err := t.state(txn)
+	if err != nil {
+		return err
+	}
 	if err := t.mgr.Acquire(txn, item, Exclusive); err != nil {
 		return err
 	}
@@ -244,10 +253,11 @@ func (t *TwoPL) Commit(txn int) error {
 	st := t.txns[txn]
 	delete(t.txns, txn)
 	t.mu.Unlock()
-	if st != nil {
-		t.store.Apply(st.writes)
+	defer t.mgr.ReleaseAll(txn)
+	if st == nil {
+		return sched.Abort(txn, 0, "no live incarnation")
 	}
-	t.mgr.ReleaseAll(txn)
+	t.store.Apply(st.writes)
 	return nil
 }
 

@@ -10,7 +10,7 @@ import (
 // OverloadRow is one point of a goodput-vs-offered-load curve: a
 // (scheduler, admission on/off, load factor) cell with its measured
 // outcome. cmd/mtsim -overload emits these; the writers below render
-// them so a sweep is reproducible and diffable (the BenchRow idiom).
+// them so a sweep is reproducible and diffable.
 type OverloadRow struct {
 	Sched        string  `json:"sched"`
 	Admit        bool    `json:"admit"`

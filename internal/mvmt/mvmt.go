@@ -97,12 +97,15 @@ func (m *MVMT) Begin(txn int) {
 	m.txns[txn] = &txnState{writes: make(map[string]int64)}
 }
 
-func (m *MVMT) state(txn int) *txnState {
+// state returns txn's live incarnation, or — for a stray operation on a
+// transaction that never began or has finished — the plain abort
+// sched.Scheduler's contract asks for.
+func (m *MVMT) state(txn int) (*txnState, error) {
 	st := m.txns[txn]
 	if st == nil {
-		panic(fmt.Sprintf("mvmt: operation on transaction %d without Begin", txn))
+		return nil, sched.Abort(txn, 0, "no live incarnation")
 	}
-	return st
+	return st, nil
 }
 
 // stack returns the version stack of x, creating the virtual initial
@@ -121,7 +124,10 @@ func (m *MVMT) stack(x string) []*version {
 func (m *MVMT) Read(txn int, item string) (int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.state(txn)
+	st, err := m.state(txn)
+	if err != nil {
+		return 0, err
+	}
 	if v, ok := st.writes[item]; ok {
 		return v, nil
 	}
@@ -150,7 +156,10 @@ func (m *MVMT) Read(txn int, item string) (int64, error) {
 func (m *MVMT) Write(txn int, item string, v int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.state(txn)
+	st, err := m.state(txn)
+	if err != nil {
+		return err
+	}
 	if _, ok := st.writes[item]; !ok {
 		st.order = append(st.order, item)
 	}
@@ -167,7 +176,10 @@ func (m *MVMT) Write(txn int, item string, v int64) error {
 func (m *MVMT) Commit(txn int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.state(txn)
+	st, err := m.state(txn)
+	if err != nil {
+		return err
+	}
 	var installed []string
 	undoTop := map[string]int64{}
 	for _, x := range st.order {

@@ -7,7 +7,6 @@
 package occ
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/sched"
@@ -55,12 +54,15 @@ func (o *OCC) Begin(txn int) {
 	}
 }
 
-func (o *OCC) state(txn int) *txnState {
+// state returns txn's live incarnation, or — for a stray operation on a
+// transaction that never began or has finished — the plain abort
+// sched.Scheduler's contract asks for.
+func (o *OCC) state(txn int) (*txnState, error) {
 	st := o.txns[txn]
 	if st == nil {
-		panic(fmt.Sprintf("occ: operation on transaction %d without Begin", txn))
+		return nil, sched.Abort(txn, 0, "no live incarnation")
 	}
-	return st
+	return st, nil
 }
 
 // Read implements sched.Scheduler: always succeeds; the item joins the
@@ -68,7 +70,10 @@ func (o *OCC) state(txn int) *txnState {
 func (o *OCC) Read(txn int, item string) (int64, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	st := o.state(txn)
+	st, err := o.state(txn)
+	if err != nil {
+		return 0, err
+	}
 	if v, ok := st.writes[item]; ok {
 		return v, nil
 	}
@@ -80,7 +85,11 @@ func (o *OCC) Read(txn int, item string) (int64, error) {
 func (o *OCC) Write(txn int, item string, v int64) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.state(txn).writes[item] = v
+	st, err := o.state(txn)
+	if err != nil {
+		return err
+	}
+	st.writes[item] = v
 	return nil
 }
 
@@ -89,7 +98,10 @@ func (o *OCC) Write(txn int, item string, v int64) error {
 func (o *OCC) Commit(txn int) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	st := o.state(txn)
+	st, err := o.state(txn)
+	if err != nil {
+		return err
+	}
 	for _, c := range o.committed {
 		if c.seq <= st.startSeq {
 			continue

@@ -5,20 +5,28 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/adaptive"
 	"repro/internal/dmt"
 	"repro/internal/engine"
+	"repro/internal/interval"
+	"repro/internal/lock"
+	"repro/internal/mvmt"
+	"repro/internal/occ"
 	"repro/internal/sched"
+	"repro/internal/sgt"
 	"repro/internal/storage"
+	"repro/internal/tsto"
 )
 
 // TestStrayAttemptContract pins the contract txn.Runtime relies on: an
 // attempt abandoned by a timeout or deadline leaves a straggler
 // goroutine behind, so a scheduler sees operations on transactions
 // that never began, were already aborted, or were re-begun meanwhile.
-// No engine-backed scheduler may panic on such a sequence; an
-// operation on a dead incarnation is answered with a plain abort that
-// names no blocker. One table over every constructor of the package,
-// so a new family (or lifecycle) cannot ship without it.
+// No scheduler may panic on such a sequence; an operation on a dead
+// incarnation is answered with a plain abort that names no blocker
+// (the contract sched.Scheduler's doc states). One table over every
+// constructor of the package and every baseline behind the facade, so
+// a new family (or lifecycle) cannot ship without it.
 func TestStrayAttemptContract(t *testing.T) {
 	mt := func(deferred bool) sched.MTOptions {
 		return sched.MTOptions{Core: engine.Options{K: 2, StarvationAvoidance: true}, DeferWrites: deferred}
@@ -47,6 +55,15 @@ func TestStrayAttemptContract(t *testing.T) {
 		{"dmt-coarse", func(s *storage.Store) sched.Scheduler {
 			return sched.NewDMTCoarse(s, dmt.Options{K: 2, Sites: 2})
 		}, true},
+		{"tsto", func(s *storage.Store) sched.Scheduler { return tsto.New(s, tsto.Options{}) }, false},
+		{"occ", func(s *storage.Store) sched.Scheduler { return occ.New(s) }, false},
+		{"sgt", func(s *storage.Store) sched.Scheduler { return sgt.New(s) }, false},
+		{"lock", func(s *storage.Store) sched.Scheduler { return lock.NewTwoPL(s) }, false},
+		{"interval", func(s *storage.Store) sched.Scheduler { return interval.New(s, interval.Options{}) }, false},
+		{"mvmt", func(s *storage.Store) sched.Scheduler { return mvmt.New(s, mvmt.Options{K: 2}) }, false},
+		{"adaptive", func(s *storage.Store) sched.Scheduler {
+			return adaptive.New(s, adaptive.Options{InitialK: 1, MaxK: 2})
+		}, false},
 	}
 	for _, b := range builds {
 		t.Run(b.name, func(t *testing.T) {

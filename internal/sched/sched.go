@@ -124,6 +124,16 @@ func DeadlineExceeded(txn int, elapsed time.Duration, stage string) error {
 //
 // Implementations may block inside Read/Write (lock-based protocols) or
 // fail fast with an error wrapping ErrAbort (timestamp-based protocols).
+//
+// Stray attempts: an attempt txn.Runtime abandons on a timeout or a
+// deadline leaves a goroutine behind that keeps calling, so a scheduler
+// sees Read, Write and Commit for a transaction that never began, was
+// already aborted or committed, or was re-begun meanwhile. No such call
+// may panic. With no live incarnation of txn, Read, Write and Commit
+// return a plain *AbortError — Blocker 0, BlockerFinished false — and
+// change nothing (DMT alone answers the Commit with a no-op nil); Abort
+// stays idempotent. TestStrayAttemptContract holds every implementation
+// to this.
 type Scheduler interface {
 	// Name identifies the protocol in reports, e.g. "MT(3)".
 	Name() string

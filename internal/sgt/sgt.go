@@ -8,7 +8,6 @@
 package sgt
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/sched"
@@ -61,12 +60,15 @@ func (s *SGT) Begin(txn int) {
 	s.live[txn] = &txnState{writes: make(map[string]int64)}
 }
 
-func (s *SGT) state(txn int) *txnState {
+// state returns txn's live incarnation, or — for a stray operation on a
+// transaction that never began or has finished — the plain abort
+// sched.Scheduler's contract asks for.
+func (s *SGT) state(txn int) (*txnState, error) {
 	st := s.live[txn]
 	if st == nil {
-		panic(fmt.Sprintf("sgt: operation on transaction %d without Begin", txn))
+		return nil, sched.Abort(txn, 0, "no live incarnation")
 	}
-	return st
+	return st, nil
 }
 
 // addEdge inserts u -> v.
@@ -143,7 +145,10 @@ func (s *SGT) observe(txn int, item string, write bool) error {
 func (s *SGT) Read(txn int, item string) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.state(txn)
+	st, err := s.state(txn)
+	if err != nil {
+		return 0, err
+	}
 	if v, ok := st.writes[item]; ok {
 		return v, nil
 	}
@@ -178,7 +183,10 @@ func (s *SGT) liveWriter(txn int, item string) int {
 func (s *SGT) Write(txn int, item string, v int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.state(txn)
+	st, err := s.state(txn)
+	if err != nil {
+		return err
+	}
 	if w := s.liveWriter(txn, item); w != 0 {
 		return sched.Abort(txn, w, "write conflicts with uncommitted writer")
 	}
@@ -193,7 +201,10 @@ func (s *SGT) Write(txn int, item string, v int64) error {
 func (s *SGT) Commit(txn int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.state(txn)
+	st, err := s.state(txn)
+	if err != nil {
+		return err
+	}
 	s.store.Apply(st.writes)
 	delete(s.live, txn)
 	s.committed[txn] = true

@@ -274,29 +274,3 @@ func TestCrashPointStripedRacingCommits(t *testing.T) {
 	}
 	t.Logf("striped matrix: %d crash points, %d fired", n, crashes)
 }
-
-// TestStoreLatencyConfig checks Config.StoreLatency reaches the store:
-// a run with latency takes measurably longer than the same run without.
-func TestStoreLatencyConfig(t *testing.T) {
-	build := func() Config {
-		cfg := crashBase()
-		cfg.NewScheduler = func(s *storage.Store) sched.Scheduler {
-			return sched.NewMTStriped(s, sched.MTOptions{
-				Core:        engine.Options{K: 2, StarvationAvoidance: true},
-				DeferWrites: true,
-			})
-		}
-		cfg.Workers = 2
-		return cfg
-	}
-	fast := Run(build())
-	slowCfg := build()
-	slowCfg.StoreLatency = 2 * time.Millisecond
-	slow := Run(slowCfg)
-	if fast.Committed == 0 || slow.Committed == 0 {
-		t.Fatal("nothing committed")
-	}
-	if slow.Wall < 10*fast.Wall && slow.Wall < 20*time.Millisecond {
-		t.Fatalf("store latency had no effect: fast=%v slow=%v", fast.Wall, slow.Wall)
-	}
-}

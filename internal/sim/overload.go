@@ -38,14 +38,11 @@ type OverloadPoint struct {
 	Report  *Report
 }
 
-// Goodput returns the point's committed transactions per second.
-func (p OverloadPoint) Goodput() float64 { return p.Report.Goodput() }
-
 // String renders one curve row.
 func (p OverloadPoint) String() string {
 	r := p.Report
 	return fmt.Sprintf("x%-4g offered=%-6d workers=%-4d goodput=%.0f/s committed=%d shed=%d deadline-miss=%d gaveup=%d abort-rate=%.3f",
-		p.Factor, p.Offered, p.Workers, p.Goodput(), r.Committed, r.Shed, r.DeadlineMiss, r.GaveUp, r.AbortRate())
+		p.Factor, p.Offered, p.Workers, r.Throughput(), r.Committed, r.Shed, r.DeadlineMiss, r.GaveUp, r.AbortRate())
 }
 
 // OverloadResult is the full sweep.
@@ -64,11 +61,11 @@ func (r *OverloadResult) KneePoint() OverloadPoint { return r.Points[r.Knee] }
 // goodput to the knee's: 1 means the system fully holds its best
 // goodput under overload, values near 0 mean congestion collapse.
 func (r *OverloadResult) Retention() float64 {
-	knee := r.KneePoint().Goodput()
+	knee := r.KneePoint().Report.Throughput()
 	if knee <= 0 {
 		return 0
 	}
-	return r.Points[len(r.Points)-1].Goodput() / knee
+	return r.Points[len(r.Points)-1].Report.Throughput() / knee
 }
 
 // RunOverload sweeps the configured factors. Each point runs on a fresh
@@ -95,10 +92,10 @@ func RunOverload(cfg OverloadConfig) *OverloadResult {
 		for i := 0; i < repeats; i++ {
 			reports = append(reports, Run(c))
 		}
-		sort.Slice(reports, func(a, b int) bool { return reports[a].Goodput() < reports[b].Goodput() })
+		sort.Slice(reports, func(a, b int) bool { return reports[a].Throughput() < reports[b].Throughput() })
 		p := OverloadPoint{Factor: f, Offered: len(c.Specs), Workers: c.Workers, Report: reports[len(reports)/2]}
 		res.Points = append(res.Points, p)
-		if p.Goodput() > res.Points[res.Knee].Goodput() {
+		if p.Report.Throughput() > res.Points[res.Knee].Report.Throughput() {
 			res.Knee = len(res.Points) - 1
 		}
 	}

@@ -67,11 +67,6 @@ type Config struct {
 	// KeepResults attaches every per-transaction txn.Result to the
 	// Report (crash harnesses need the durable-ack per transaction).
 	KeepResults bool
-	// StoreLatency, when non-zero, models a paged/remote storage backend:
-	// every store access sleeps this long under the affected shard locks
-	// (see storage.SetSimLatency). Benchmarks use it to expose what a
-	// scheduler's lock granularity costs when data access is not free.
-	StoreLatency time.Duration
 	// Repro, when set, is attached verbatim to the Report: the effective
 	// seeds and the planned fault schedule (Injector.PlannedSchedule), so
 	// a failing chaos/partition run is replayable from its log alone.
@@ -118,19 +113,11 @@ type Report struct {
 	Repro        []string             // replay lines (Config.Repro, verbatim)
 }
 
-// Throughput returns committed transactions per second.
+// Throughput returns committed transactions per second: transactions
+// that committed (within their deadline, when one was set). Shed and
+// deadline-missed transactions cost wall time but produce nothing, so
+// under overload this is goodput, not offered load.
 func (r *Report) Throughput() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	return float64(r.Committed) / r.Wall.Seconds()
-}
-
-// Goodput returns useful work per second: transactions that committed
-// (within their deadline, when one was set). Shed and deadline-missed
-// transactions cost wall time but produce nothing, so under overload
-// goodput is the number to watch, not offered throughput.
-func (r *Report) Goodput() float64 {
 	if r.Wall <= 0 {
 		return 0
 	}
@@ -209,9 +196,6 @@ func Run(cfg Config) *Report {
 		if cfg.OnWALOpen != nil {
 			cfg.OnWALOpen(w, recovered)
 		}
-	}
-	if cfg.StoreLatency > 0 {
-		store.SetSimLatency(cfg.StoreLatency)
 	}
 	if cfg.Observe != nil {
 		journal := cfg.Observe

@@ -23,7 +23,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/explore/hook"
 	"repro/internal/intern"
@@ -102,9 +101,6 @@ type Store struct {
 	// the event maps without taking commitMu early.
 	journal Journal
 	jset    atomic.Bool
-	// simLatency, when non-zero, is a per-access sleep (ns) modeling a
-	// paged or remote storage backend; see SetSimLatency.
-	simLatency atomic.Int64
 }
 
 // New returns an empty store.
@@ -145,22 +141,6 @@ func (s *Store) shardOf(id int32) (*shard, int) {
 	return &s.shards[int(uint32(id))&(shardCount-1)], int(id) >> 6
 }
 
-// SetSimLatency installs a simulated per-access latency: every Get and
-// every ApplyTxn sleeps d while holding the affected items' shard
-// locks, modeling a store whose items live on a paged buffer pool or a
-// remote backend rather than in local RAM. Benchmarks use it to expose
-// what a scheduler's lock granularity costs when data access is not
-// free: a scheduler that holds a global mutex across storage access
-// serializes these sleeps, one that holds per-item latches overlaps
-// them. Zero (the default) disables the sleep.
-func (s *Store) SetSimLatency(d time.Duration) { s.simLatency.Store(int64(d)) }
-
-func (s *Store) simSleep() {
-	if d := s.simLatency.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-}
-
 // SetJournal installs (or clears, with nil) the journaling hook. Set it
 // before traffic flows: batches applied earlier are not re-delivered.
 func (s *Store) SetJournal(j Journal) {
@@ -183,7 +163,6 @@ func (s *Store) GetID(id int32) int64 {
 	sh, li := s.shardOf(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	s.simSleep()
 	if li >= len(sh.vals) {
 		return 0
 	}
@@ -221,7 +200,6 @@ func (s *Store) rlockAll() func() {
 func (s *Store) GetMany(items []string) map[string]int64 {
 	unlock := s.rlockAll()
 	defer unlock()
-	s.simSleep()
 	out := make(map[string]int64, len(items))
 	for _, x := range items {
 		out[x] = s.lockedGet(s.names.ID(x))
@@ -287,7 +265,6 @@ func (s *Store) ApplyTxn(txn int, writes map[string]int64) int64 {
 	}
 	ss.lock(s)
 	defer ss.unlock(s)
-	s.simSleep()
 	var vers map[string]int64
 	if s.jset.Load() {
 		vers = make(map[string]int64, len(writes))
@@ -313,7 +290,6 @@ func (s *Store) ApplyTxnIDs(txn int, ids []int32, vals []int64) int64 {
 	}
 	ss.lock(s)
 	defer ss.unlock(s)
-	s.simSleep()
 	var writes, vers map[string]int64
 	if s.jset.Load() {
 		writes = make(map[string]int64, len(ids))

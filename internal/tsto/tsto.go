@@ -7,7 +7,6 @@
 package tsto
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/sched"
@@ -76,12 +75,15 @@ func (t *TO) Timestamp(txn int) int64 {
 	return 0
 }
 
-func (t *TO) state(txn int) *txnState {
+// state returns txn's live incarnation, or — for a stray operation on a
+// transaction that never began or has finished — the plain abort
+// sched.Scheduler's contract asks for.
+func (t *TO) state(txn int) (*txnState, error) {
 	st := t.txns[txn]
 	if st == nil {
-		panic(fmt.Sprintf("tsto: operation on transaction %d without Begin", txn))
+		return nil, sched.Abort(txn, 0, "no live incarnation")
 	}
-	return st
+	return st, nil
 }
 
 // Read implements sched.Scheduler: rejected when a newer write exists
@@ -89,7 +91,10 @@ func (t *TO) state(txn int) *txnState {
 func (t *TO) Read(txn int, item string) (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.state(txn)
+	st, err := t.state(txn)
+	if err != nil {
+		return 0, err
+	}
 	if v, ok := st.writes[item]; ok {
 		return v, nil
 	}
@@ -137,7 +142,10 @@ func (t *TO) validateWrite(st *txnState, txn int, item string) (bool, error) {
 func (t *TO) Write(txn int, item string, v int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.state(txn)
+	st, err := t.state(txn)
+	if err != nil {
+		return err
+	}
 	if !t.opts.DeferWrites {
 		if w := t.wtxn[item]; w != 0 && w != txn {
 			if _, live := t.txns[w]; live {
@@ -164,7 +172,10 @@ func (t *TO) Write(txn int, item string, v int64) error {
 func (t *TO) Commit(txn int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.state(txn)
+	st, err := t.state(txn)
+	if err != nil {
+		return err
+	}
 	apply := make(map[string]int64, len(st.writes))
 	for x, v := range st.writes {
 		apply[x] = v

@@ -1,6 +1,9 @@
 package mdts
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"regexp"
 	"strings"
@@ -18,7 +21,47 @@ var (
 	docMake   = regexp.MustCompile(`(?:^|[^\w-])make((?:[ \t]+[\w=-]+)+)`)
 	docTarget = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
 	docBraces = regexp.MustCompile(`\{([^{}]*)\}`)
+	docSched  = regexp.MustCompile(`\bsched\.([A-Z]\w*)`)
 )
+
+// schedNames parses internal/sched and returns its package-level names:
+// functions, types, constants, variables — test files included, since
+// the documents cite tests as sched.TestXxx.
+func schedNames(t *testing.T) map[string]bool {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), "internal/sched", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	declare := func(d ast.Decl) {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				names[d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					names[spec.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						names[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				declare(d)
+			}
+		}
+	}
+	return names
+}
 
 // expandBraces turns cmd/{a,b} into cmd/a and cmd/b.
 func expandBraces(s string) []string {
@@ -36,8 +79,10 @@ func expandBraces(s string) []string {
 // TestDocsNameWhatExists is `make docs-check`: every code-formatted
 // `make <target>`, cmd/<name>, internal/<pkg> and bench/<file> in the
 // checked documents must name a Makefile target, directory or file of
-// this tree. Prose ("make the ...") is not code-formatted and is not
-// read; neither are patterns such as bench/BENCH_<n>.json.
+// this tree, and every code-formatted sched.<Exported> a package-level
+// name internal/sched declares. Prose ("make the ...") is not
+// code-formatted and is not read; neither are patterns such as
+// bench/BENCH_<n>.json.
 func TestDocsNameWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -47,6 +92,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 	for _, m := range docTarget.FindAllStringSubmatch(string(mk), -1) {
 		targets[m[1]] = true
 	}
+	declared := schedNames(t)
 	for _, doc := range checkedDocs {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -76,6 +122,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 					if !targets[w] {
 						stale(span[0]+m[2], "make "+w+": no such target")
 					}
+				}
+			}
+			for _, m := range docSched.FindAllStringSubmatchIndex(code, -1) {
+				if name := code[m[2]:m[3]]; !declared[name] {
+					stale(span[0]+m[0], "sched."+name+" is not declared in internal/sched")
 				}
 			}
 		}

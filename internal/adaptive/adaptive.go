@@ -66,7 +66,7 @@ type Adaptive struct {
 	mu    sync.Mutex
 	opts  Options
 	store *storage.Store
-	inner *sched.MT
+	inner sched.Scheduler
 	k     int
 
 	live     map[int]bool
@@ -91,10 +91,11 @@ func New(store *storage.Store, opts Options) *Adaptive {
 	return a
 }
 
-func (a *Adaptive) build(k int) *sched.MT {
+// build returns one epoch's scheduler: MT(k) on the production path.
+func (a *Adaptive) build(k int) sched.Scheduler {
 	c := a.opts.Core
 	c.K = k
-	return sched.NewMT(a.store, sched.MTOptions{Core: c, DeferWrites: a.opts.DeferWrites})
+	return sched.NewMTStriped(a.store, sched.MTOptions{Core: c, DeferWrites: a.opts.DeferWrites})
 }
 
 // Name implements sched.Scheduler.

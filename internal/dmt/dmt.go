@@ -694,9 +694,8 @@ func (c *Cluster) set(acting, j, i int, vj, vi *core.Vector) bool {
 // unreachable: nothing was decided or mutated, and the operation may be
 // retried once the site recovers.
 func (c *Cluster) Step(op oplog.Op) core.Decision {
-	acting := c.homeOfTxn(op.Txn)
 	for _, x := range op.Items {
-		v, blocker, site := c.stepItem(acting, op.Txn, op.Kind, x)
+		v, blocker, site := c.StepItem(op.Txn, op.Kind, x)
 		switch v {
 		case core.Unavailable:
 			return core.Decision{Op: op, Verdict: core.Unavailable, Site: site, Item: x}
@@ -707,11 +706,14 @@ func (c *Cluster) Step(op oplog.Op) core.Decision {
 	return core.Decision{Op: op, Verdict: core.Accept}
 }
 
-// stepItem performs the optimistic lock-validate-decide round for one
-// (transaction, item) pair. Returns the verdict, the blocker on Reject,
-// and the unreachable site on Unavailable. Every transport check runs
-// before the first mutation, so a fault leaves no partial state behind.
-func (c *Cluster) stepItem(acting, txn int, kind oplog.Kind, x string) (core.Verdict, int, int) {
+// StepItem is Step for one (transaction, item) pair — the form a
+// runtime lifecycle steps through, one item under one latch. It performs
+// the optimistic lock-validate-decide round and returns the verdict, the
+// blocker on Reject, and the unreachable site on Unavailable. Every
+// transport check runs before the first mutation, so a fault leaves no
+// partial state behind.
+func (c *Cluster) StepItem(txn int, kind oplog.Kind, x string) (core.Verdict, int, int) {
+	acting := c.homeOfTxn(txn)
 	c.markLive(txn)
 	for {
 		// Fail fast: a crashed site schedules nothing. The check is a
@@ -840,7 +842,7 @@ func (c *Cluster) Abort(txn, blocker int) {
 			// through the site counters so it stays globally unique. Hold
 			// the home site's incarnation read lock across the allocation
 			// so a concurrent drift crash cannot reset the slot mid-alloc
-			// (same discipline as stepItem). If the home site is already
+			// (same discipline as StepItem). If the home site is already
 			// down the reseed is skipped entirely: allocating from a reset
 			// slot could re-issue a consumed value, and the starvation fix
 			// can wait for a post-recovery abort — the retry fails fast at
@@ -916,7 +918,7 @@ func (c *Cluster) GC() int { return c.gcSweep(c.gcScan()) }
 // every slot it still occupies, while a transaction that steps and
 // finishes during the scan is not a candidate and waits for the next
 // sweep. Index entries are collected under their site's lock but read
-// under their own item lock, the lock stepItem writes them under.
+// under their own item lock, the lock StepItem writes them under.
 func (c *Cluster) gcScan() (candidates [][]int, referenced map[int]bool) {
 	type indexed struct {
 		e  *itemEntry

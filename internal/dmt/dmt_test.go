@@ -284,7 +284,7 @@ func TestGCKeepsVectorOfTransactionFinishedMidSweep(t *testing.T) {
 }
 
 // GC sweeps while transactions step on the same items; run with -race.
-// The sweep must read an index entry under the item lock stepItem
+// The sweep must read an index entry under the item lock StepItem
 // writes it under, not under the site lock.
 func TestGCConcurrentWithSteps(t *testing.T) {
 	c := NewCluster(Options{K: 3, Sites: 2})

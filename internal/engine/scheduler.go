@@ -50,15 +50,6 @@ type Options struct {
 	// Trace, when non-nil, receives an Event for every element assignment,
 	// dependency encoding and flush.
 	Trace func(core.Event)
-	// UnsafeEagerReclaim injects a seeded pooled-entry lifecycle bug
-	// into the striped engine for the schedule-exploration harness: a
-	// finished transaction's entry is reclaimed even while it is still
-	// pinned as an item's most-recent read/write timestamp, so a later
-	// conflict test against that item recreates the transaction with an
-	// empty vector and decides against the wrong timestamp. Exists only
-	// so internal/explore can pin the reclamation interleaving as a
-	// regression trace (testdata/eager_reclaim.trace); never set it.
-	UnsafeEagerReclaim bool
 }
 
 // Scheduler is the MT(k) concurrency controller of Algorithm 1 under
@@ -137,8 +128,27 @@ func (s *Scheduler) Vector(i int) *core.Vector { return s.tab.Vector(i).Clone() 
 // transaction id.
 func (s *Scheduler) Snapshot() map[int]*core.Vector { return s.tab.Snapshot() }
 
-// Holders returns RT(x) and WT(x) for an interned item (0 if none).
-func (s *Scheduler) Holders(id int32) (rt, wt int) { return s.holders.Of(id) }
+// ReadPendingWriterID reports whether the item's most recent writer w
+// (≠ i) is live per the callback and TS(i) < TS(w) is NOT established
+// (see Striped.ReadPendingWriterID).
+func (s *Scheduler) ReadPendingWriterID(i int, id int32, live func(int) bool) (blocker int, conflict bool) {
+	_, w := s.holders.Of(id)
+	if w == i || !live(w) || s.less(i, w) {
+		return 0, false
+	}
+	return w, true
+}
+
+// WritePendingWriterID reports whether the item's most recent writer w
+// (≠ i) is still live per the callback (see
+// Striped.WritePendingWriterID).
+func (s *Scheduler) WritePendingWriterID(i int, id int32, live func(int) bool) (blocker int, conflict bool) {
+	_, w := s.holders.Of(id)
+	if w == 0 || w == i || !live(w) {
+		return 0, false
+	}
+	return w, true
+}
 
 // RT returns RT(x), the most recent reader of x (0 if none).
 func (s *Scheduler) RT(x string) int {

@@ -75,6 +75,9 @@ type Striped struct {
 	// recycled entry (the generation check); the pooled-reuse stress
 	// test asserts every stale access is caught here.
 	staleRetries atomic.Int64
+	// unsafeEagerReclaim is the seeded pooled-entry lifecycle bug (see
+	// SetUnsafeEagerReclaim). Never set outside internal/explore.
+	unsafeEagerReclaim bool
 
 	// cmu guards the counters, the column clock, and the reusable
 	// encode sink.
@@ -623,7 +626,7 @@ func (s *Striped) maybeReclaim(id int, e *txnEntry) {
 	if id == 0 {
 		return
 	}
-	if e.done && (e.pins <= 0 || s.opts.UnsafeEagerReclaim) && !e.dead.Load() {
+	if e.done && (e.pins <= 0 || s.unsafeEagerReclaim) && !e.dead.Load() {
 		e.dead.Store(true)
 		e.gen++
 		if sp := s.spine.Load(); sp != nil {
@@ -636,6 +639,17 @@ func (s *Striped) maybeReclaim(id int, e *txnEntry) {
 		s.pool.Put(e)
 	}
 }
+
+// SetUnsafeEagerReclaim injects a seeded pooled-entry lifecycle bug for
+// the schedule-exploration harness: a finished transaction's entry is
+// reclaimed even while it is still pinned as an item's most-recent
+// read/write timestamp, so a later conflict test against that item
+// recreates the transaction with an empty vector and decides against
+// the wrong timestamp. Exists only so internal/explore can pin the
+// reclamation interleaving as a regression trace
+// (testdata/eager_reclaim.trace); set it before traffic flows, never
+// outside that harness.
+func (s *Striped) SetUnsafeEagerReclaim(v bool) { s.unsafeEagerReclaim = v }
 
 // Commit marks transaction i finished; its vector storage is reclaimed
 // as soon as it stops being a most-recent read/write timestamp.

@@ -142,34 +142,27 @@ func (c Config) build(coarse bool) (sched.Scheduler, *storage.Store) {
 		store.Set(x, c.Initial[x])
 	}
 	eopts := engine.Options{K: c.K, StarvationAvoidance: c.StarvationAvoidance}
+	var s sched.Scheduler
 	switch c.Family {
 	case "mt":
 		return sched.NewMT(store, sched.MTOptions{Core: eopts, DeferWrites: c.DeferWrites}), store
 	case "mt-striped":
-		if coarse {
-			return sched.NewMT(store, sched.MTOptions{Core: eopts, DeferWrites: c.DeferWrites}), store
-		}
-		eopts.UnsafeEagerReclaim = c.UnsafeEagerReclaim
-		s := sched.NewMTStriped(store, sched.MTOptions{Core: eopts, DeferWrites: c.DeferWrites})
-		if c.UnsafePublish {
-			s.SetUnsafePublish(true)
-		}
-		return s, store
+		m := sched.NewMTStriped(store, sched.MTOptions{Core: eopts, DeferWrites: c.DeferWrites})
+		m.SetUnsafe(c.UnsafePublish, c.UnsafeEagerReclaim)
+		s = m
 	case "composite":
-		if coarse {
-			return sched.NewCompositeCoarse(store, c.K, engine.Options{K: 2}), store
-		}
-		return sched.NewComposite(store, c.K, engine.Options{K: 2}), store
+		s = sched.NewComposite(store, c.K, engine.Options{K: 2})
 	case "dmt":
-		o := dmt.Options{K: c.K, Sites: c.Sites}
-		if coarse {
-			return sched.NewDMTCoarse(store, o), store
-		}
-		return sched.NewDMT(store, o), store
+		s = sched.NewDMT(store, dmt.Options{K: c.K, Sites: c.Sites})
 	case "nested":
-		return sched.NewNested(store, sched.NestedOptions{Ks: c.Ks, Coarse: coarse}), store
+		s = sched.NewNested(store, sched.NestedOptions{Ks: c.Ks})
+	default:
+		panic("explore: unknown family " + c.Family)
 	}
-	panic("explore: unknown family " + c.Family)
+	if coarse {
+		return sched.Reference(s, store), store
+	}
+	return s, store
 }
 
 // preemptFor is the family's sound default preemption policy: coarse

@@ -10,23 +10,16 @@ import (
 	"repro/internal/storage"
 )
 
-// lifecycle is what a family shell wraps: the shared adapter, or the
-// MT reference for the coarse variant.
-type lifecycle interface {
-	Scheduler
-	DurableCounters
-}
-
 // Composite is MT(k⁺) at runtime (deferred writes): the composite
 // protocol with Algorithm 2 step 4's epoch restart, under the shared
-// adapter (NewComposite) or the coarse reference (NewCompositeCoarse).
+// adapter.
 //
 // Composite's aborts name no blocker — a reject means every
 // subprotocol stopped, not that one transaction stood in the way — so
 // AbortError.BlockerFinished stays false and the runtime keeps its
 // jittered wait after them.
 type Composite struct {
-	lifecycle
+	*adapter
 	proto *epochComposite
 }
 
@@ -37,12 +30,10 @@ func NewComposite(store *storage.Store, k int, sub engine.Options) *Composite {
 	return &Composite{newSerialAdapter(store, compositeFamily(k, ""), p), p}
 }
 
-// NewCompositeCoarse returns MT(k⁺) under the coarse reference
-// lifecycle: every store access runs under the protocol mutex. It is
-// the differential reference NewComposite is checked against.
-func NewCompositeCoarse(store *storage.Store, k int, sub engine.Options) *Composite {
-	p := newEpochComposite(k, sub, store.Interner())
-	return &Composite{newReference(store, compositeFamily(k, "/coarse"), p), p}
+// reference implements referencer.
+func (c *Composite) reference(store *storage.Store) *MT {
+	o := c.proto.opts
+	return newReference(store, compositeFamily(o.K, "/coarse"), newEpochComposite(o.K, o.Sub, store.Interner()))
 }
 
 func compositeFamily(k int, variant string) family {

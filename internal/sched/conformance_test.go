@@ -34,36 +34,34 @@ func TestStrayAttemptContract(t *testing.T) {
 	builds := []struct {
 		name  string
 		build func(*storage.Store) sched.Scheduler
-		// lateCommitSilent: DMT answers a commit on a dead incarnation
-		// with a no-op success (sched/dmt.go forwards it to the cluster,
-		// which has nothing to publish) rather than an abort.
-		lateCommitSilent bool
 	}{
-		{"mt", func(s *storage.Store) sched.Scheduler { return sched.NewMT(s, mt(false)) }, false},
-		{"mt-deferred", func(s *storage.Store) sched.Scheduler { return sched.NewMT(s, mt(true)) }, false},
-		{"striped-immediate", func(s *storage.Store) sched.Scheduler { return sched.NewMTStriped(s, mt(false)) }, false},
-		{"striped-deferred", func(s *storage.Store) sched.Scheduler { return sched.NewMTStriped(s, mt(true)) }, false},
-		{"composite", func(s *storage.Store) sched.Scheduler { return sched.NewComposite(s, 2, engine.Options{}) }, false},
-		{"composite-coarse", func(s *storage.Store) sched.Scheduler { return sched.NewCompositeCoarse(s, 2, engine.Options{}) }, false},
+		{"mt", func(s *storage.Store) sched.Scheduler { return sched.NewMT(s, mt(false)) }},
+		{"mt-deferred", func(s *storage.Store) sched.Scheduler { return sched.NewMT(s, mt(true)) }},
+		{"striped-immediate", func(s *storage.Store) sched.Scheduler { return sched.NewMTStriped(s, mt(false)) }},
+		{"striped-deferred", func(s *storage.Store) sched.Scheduler { return sched.NewMTStriped(s, mt(true)) }},
+		{"composite", func(s *storage.Store) sched.Scheduler { return sched.NewComposite(s, 2, engine.Options{}) }},
+		{"composite-coarse", func(s *storage.Store) sched.Scheduler {
+			return sched.Reference(sched.NewComposite(s, 2, engine.Options{}), s)
+		}},
 		{"nested", func(s *storage.Store) sched.Scheduler {
 			return sched.NewNested(s, sched.NestedOptions{Ks: []int{2, 2}})
-		}, false},
+		}},
 		{"nested-coarse", func(s *storage.Store) sched.Scheduler {
-			return sched.NewNested(s, sched.NestedOptions{Ks: []int{2, 2}, Coarse: true})
-		}, false},
-		{"dmt", func(s *storage.Store) sched.Scheduler { return sched.NewDMT(s, dmt.Options{K: 2, Sites: 2}) }, true},
+			return sched.Reference(sched.NewNested(s, sched.NestedOptions{Ks: []int{2, 2}}), s)
+		}},
+		{"dmt", func(s *storage.Store) sched.Scheduler { return sched.NewDMT(s, dmt.Options{K: 2, Sites: 2}) }},
 		{"dmt-coarse", func(s *storage.Store) sched.Scheduler {
-			return sched.NewDMTCoarse(s, dmt.Options{K: 2, Sites: 2})
-		}, true},
-		{"tsto", func(s *storage.Store) sched.Scheduler { return tsto.New(s, tsto.Options{}) }, false},
-		{"occ", func(s *storage.Store) sched.Scheduler { return occ.New(s) }, false},
-		{"sgt", func(s *storage.Store) sched.Scheduler { return sgt.New(s) }, false},
-		{"lock", func(s *storage.Store) sched.Scheduler { return lock.NewTwoPL(s) }, false},
-		{"interval", func(s *storage.Store) sched.Scheduler { return interval.New(s, interval.Options{}) }, false},
-		{"mvmt", func(s *storage.Store) sched.Scheduler { return mvmt.New(s, mvmt.Options{K: 2}) }, false},
+			return sched.Reference(sched.NewDMT(s, dmt.Options{K: 2, Sites: 2}), s)
+		}},
+		{"tsto", func(s *storage.Store) sched.Scheduler { return tsto.New(s, tsto.Options{}) }},
+		{"occ", func(s *storage.Store) sched.Scheduler { return occ.New(s) }},
+		{"sgt", func(s *storage.Store) sched.Scheduler { return sgt.New(s) }},
+		{"lock", func(s *storage.Store) sched.Scheduler { return lock.NewTwoPL(s) }},
+		{"interval", func(s *storage.Store) sched.Scheduler { return interval.New(s, interval.Options{}) }},
+		{"mvmt", func(s *storage.Store) sched.Scheduler { return mvmt.New(s, mvmt.Options{K: 2}) }},
 		{"adaptive", func(s *storage.Store) sched.Scheduler {
 			return adaptive.New(s, adaptive.Options{InitialK: 1, MaxK: 2})
-		}, false},
+		}},
 	}
 	for _, b := range builds {
 		t.Run(b.name, func(t *testing.T) {
@@ -81,9 +79,7 @@ func TestStrayAttemptContract(t *testing.T) {
 				_, err := s.Read(txn, "x")
 				plainAbort("read "+stage, err)
 				plainAbort("write "+stage, s.Write(txn, "x", 1))
-				if err := s.Commit(txn); err != nil || !b.lateCommitSilent {
-					plainAbort("commit "+stage, err)
-				}
+				plainAbort("commit "+stage, s.Commit(txn))
 			}
 			// Operation without Begin.
 			strayOps("without Begin", 1)

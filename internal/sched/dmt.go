@@ -11,31 +11,121 @@ import (
 	"repro/internal/dmt"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/intern"
 	"repro/internal/oplog"
 	"repro/internal/storage"
 )
 
-// DMT adapts a DMT(k) cluster to the runtime Scheduler interface. The
-// cluster itself is concurrency-safe (per-object ordered locking), so the
-// adapter only guards its own write buffers; data publishes atomically at
-// commit like every other scheduler in the suite.
-//
-// The default (striped) variant holds the item's latch across a read's
-// protocol step and store fetch, and the write set's latches across
-// commit-time publish, pinning each decision to the data state it was
-// made against while disjoint items proceed concurrently. The coarse
-// variant instead serializes every operation — protocol and store
-// access — under one global mutex; it is the differential reference.
-type DMT struct {
+// dmtKernel is dmt.Cluster as a kernel: the paper's Section V protocol
+// is one more Set(j, i) encoder behind ordered object locks, safe for
+// concurrent use, so both lifecycles take it as it stands. Names are
+// DMT's message payload — an item's home site hashes its name, the
+// cluster stays by-name inside — so the shim resolves the interned id
+// back to its name for each step. What is DMT-specific about a single
+// protocol step lives here, beneath the lifecycle: the step's outcome
+// feeds the circuit breaker, an Unavailable verdict carries the
+// unreachable site where a Reject carries the blocker, and finished
+// vectors are swept every 256 steps.
+type dmtKernel struct {
 	cluster *dmt.Cluster
-	store   *storage.Store
-	sites   int
-	latches *core.LatchTable // nil in the coarse reference variant
-	gmu     *sync.Mutex      // non-nil in the coarse reference variant
+	names   *intern.Table  // the store's
+	breaker *admit.Breaker // nil when none (DMT.SetBreaker)
+	steps   atomic.Int64
+}
 
-	mu    sync.Mutex
-	txns  map[int]*mtTxn
-	steps atomic.Int64
+func newDMTKernel(store *storage.Store, opts dmt.Options) *dmtKernel {
+	return &dmtKernel{cluster: dmt.NewCluster(opts), names: store.Interner()}
+}
+
+// StepReadID implements kernel.
+func (k *dmtKernel) StepReadID(txn int, id int32) (core.Verdict, int) {
+	return k.step(txn, oplog.Read, id)
+}
+
+// StepWriteID implements kernel.
+func (k *dmtKernel) StepWriteID(txn int, id int32) (core.Verdict, int) {
+	return k.step(txn, oplog.Write, id)
+}
+
+// step runs one protocol step and feeds the breaker from its outcome:
+// an Unavailable verdict is a failed contact with the unreachable site,
+// any decided verdict (Accept or Reject — the protocol answered) is a
+// successful contact with the transaction's acting home site.
+func (k *dmtKernel) step(txn int, kind oplog.Kind, id int32) (core.Verdict, int) {
+	v, blocker, site := k.cluster.StepItem(txn, kind, k.names.Name(id))
+	k.tick()
+	if v == core.Unavailable {
+		if k.breaker != nil {
+			k.breaker.Observe(site, false)
+		}
+		return v, site
+	}
+	if k.breaker != nil {
+		k.breaker.Observe(k.cluster.TxnSite(txn), true)
+	}
+	return v, blocker
+}
+
+// tick counts one kernel call and sweeps finished vectors on every
+// 256th.
+func (k *dmtKernel) tick() {
+	if k.steps.Add(1)%256 == 0 {
+		k.cluster.GC()
+	}
+}
+
+// Commit implements kernel.
+func (k *dmtKernel) Commit(txn int) {
+	k.cluster.Commit(txn)
+	if k.breaker != nil {
+		k.breaker.Observe(k.cluster.TxnSite(txn), true)
+	}
+	k.tick()
+}
+
+// Abort implements kernel.
+func (k *dmtKernel) Abort(txn, blocker int) { k.cluster.Abort(txn, blocker) }
+
+// Watermarks implements kernel. The cluster takes its own per-site
+// counter locks, so the journal hook may call this freely.
+func (k *dmtKernel) Watermarks() (lo, hi int64) { return k.cluster.Counters() }
+
+// RaiseWatermarks implements kernel.
+func (k *dmtKernel) RaiseWatermarks(lo, hi int64) { k.cluster.RaiseCounters(lo, hi) }
+
+// ReadPendingWriterID implements pendingWriters with DMT's conservative
+// rule: the cluster publishes WT(x) at write time but the data publishes
+// at commit, so any other live transaction named by WT(x) is a conflict.
+// (For a read that was just accepted the rule is exact: acceptance
+// ordered the reader after WT(x).)
+func (k *dmtKernel) ReadPendingWriterID(txn int, id int32, live func(int) bool) (int, bool) {
+	return k.WritePendingWriterID(txn, id, live)
+}
+
+// WritePendingWriterID implements pendingWriters.
+func (k *dmtKernel) WritePendingWriterID(txn int, id int32, live func(int) bool) (int, bool) {
+	w := k.cluster.WTHolder(k.names.Name(id))
+	if w == 0 || w == txn || !live(w) {
+		return 0, false
+	}
+	return w, true
+}
+
+func dmtFamily(sites int, variant string) family {
+	return family{name: fmt.Sprintf("DMT/%dsites%s", sites, variant)}
+}
+
+// DMT is DMT(k) at runtime (immediate mode): the shared adapter over a
+// dmtKernel, behind the degraded-mode gate. Everything the gate does —
+// counting an attempt against a degraded window, refusing it on an open
+// circuit, parking it until its home site heals — happens before the
+// lifecycle is entered, so a parked attempt holds no item latch and no
+// transaction-state lock, and reads and writes at reachable sites
+// proceed while it waits.
+type DMT struct {
+	*adapter
+	k    *dmtKernel
+	opts dmt.Options
 
 	// trackWindows enables degraded-window accounting and home-site
 	// admission on the step path. Only set when the cluster has a
@@ -47,11 +137,10 @@ type DMT struct {
 	parking Parking
 	parkSem chan struct{}
 
-	// Per-site circuit breaker (SetBreaker). When a site's circuit is
-	// open, admitStep fails the attempt fast with ErrUnavailable instead
-	// of letting it park or probe a transport that will not answer; the
-	// step, probe and commit paths feed the breaker's failure detector.
-	breaker *admit.Breaker
+	// attempts holds the gate's bits per live incarnation, kept only
+	// while the gate can act on them (gated); mu is a leaf.
+	mu       sync.Mutex
+	attempts map[int]uint8
 
 	parked      atomic.Int64 // commits that entered the hand-off queue
 	healed      atomic.Int64 // parked commits released by a heal/recovery
@@ -60,6 +149,16 @@ type DMT struct {
 	winAttempts atomic.Int64 // commit attempts made during a degraded window
 	winCommits  atomic.Int64 // of those, how many committed
 }
+
+// What the gate remembers about one live incarnation.
+const (
+	// attemptStepped: some operation of this incarnation was accepted. A
+	// parked attempt may only resume if nothing was validated against
+	// state a crash has since destroyed.
+	attemptStepped uint8 = 1 << iota
+	// attemptCounted: already charged to the degraded window.
+	attemptCounted
+)
 
 // Parking configures degraded-mode commits: instead of failing fast,
 // an attempt whose home site is crashed parks in a bounded hand-off
@@ -126,19 +225,21 @@ func (s DegradedStats) Availability() float64 {
 // commit parking. Call before traffic flows.
 func (d *DMT) SetParking(p Parking) {
 	d.parking = p.withDefaults()
+	d.parkSem = nil
 	if p.Capacity > 0 {
 		d.parkSem = make(chan struct{}, p.Capacity)
-	} else {
-		d.parkSem = nil
 	}
 }
 
-// SetBreaker installs a per-site circuit breaker in front of every
-// protocol step. Call before traffic flows; nil removes it.
-func (d *DMT) SetBreaker(b *admit.Breaker) { d.breaker = b }
+// SetBreaker installs a per-site circuit breaker: while a site's
+// circuit is open the gate fails an attempt homed there fast with
+// ErrUnavailable instead of letting it park or probe a transport that
+// will not answer; the kernel's steps and commits and the parked probes
+// feed its failure detector. Call before traffic flows; nil removes it.
+func (d *DMT) SetBreaker(b *admit.Breaker) { d.k.breaker = b }
 
 // Breaker returns the installed circuit breaker (nil when none).
-func (d *DMT) Breaker() *admit.Breaker { return d.breaker }
+func (d *DMT) Breaker() *admit.Breaker { return d.k.breaker }
 
 // Degraded returns a snapshot of the degraded-mode commit counters.
 func (d *DMT) Degraded() DegradedStats {
@@ -152,238 +253,131 @@ func (d *DMT) Degraded() DegradedStats {
 	}
 }
 
-// NewDMT returns a DMT(k) runtime scheduler over the store with the
-// striped data path.
+// NewDMT returns a DMT(k) runtime scheduler over the store, on the
+// production path with a latch table of its own.
 func NewDMT(store *storage.Store, opts dmt.Options) *DMT {
-	d := newDMT(store, opts)
-	d.latches = core.NewLatchTable(engine.DefaultStripes)
-	d.latches.BindInterner(store.Interner())
-	return d
-}
-
-// NewDMTCoarse returns the coarse DMT(k) runtime scheduler: one global
-// mutex serializes every operation end to end, store access included.
-func NewDMTCoarse(store *storage.Store, opts dmt.Options) *DMT {
-	d := newDMT(store, opts)
-	d.gmu = &sync.Mutex{}
-	return d
-}
-
-func newDMT(store *storage.Store, opts dmt.Options) *DMT {
+	k := newDMTKernel(store, opts)
 	return &DMT{
-		cluster:      dmt.NewCluster(opts),
-		store:        store,
-		sites:        opts.Sites,
-		txns:         make(map[int]*mtTxn),
+		adapter:      newAdapter(store, dmtFamily(opts.Sites, ""), k, core.NewLatchTable(engine.DefaultStripes)),
+		k:            k,
+		opts:         opts,
 		trackWindows: opts.Transport != nil,
+		attempts:     make(map[int]uint8),
 	}
 }
 
-// serialize takes the coarse variant's global mutex; a no-op when
-// striped. Returns the unlock.
-func (d *DMT) serialize() func() {
-	if d.gmu == nil {
-		return func() {}
-	}
-	d.gmu.Lock()
-	return d.gmu.Unlock
+// reference implements referencer. The reference runs a cluster of its
+// own with the same options — a fault transport hooks into one cluster
+// only, so take the reference of a fault-free configuration.
+func (d *DMT) reference(store *storage.Store) *MT {
+	return newReference(store, dmtFamily(d.opts.Sites, "/coarse"), newDMTKernel(store, d.opts))
 }
 
-// latch locks the given items' latches; a no-op when coarse. Returns
-// the unlock.
-func (d *DMT) latch(items ...string) func() {
-	if d.latches == nil {
-		return func() {}
+// Cluster exposes the underlying cluster (metrics, fault injection).
+func (d *DMT) Cluster() *dmt.Cluster { return d.k.cluster }
+
+// gated reports whether the gate keeps per-incarnation bits: only with
+// a transport or a breaker is there anything for it to act on.
+func (d *DMT) gated() bool { return d.trackWindows || d.k.breaker != nil }
+
+// mark sets bits on txn's live incarnation and returns the bits it had;
+// live is false when the gate knows no incarnation of txn (it knows
+// none at all while it is not gated).
+func (d *DMT) mark(txn int, bits uint8) (had uint8, live bool) {
+	if !d.gated() {
+		return 0, false
 	}
-	return d.latches.Lock(items...)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if had, live = d.attempts[txn]; live && had|bits != had {
+		d.attempts[txn] = had | bits
+	}
+	return had, live
 }
 
-// Name implements Scheduler.
-func (d *DMT) Name() string {
-	if d.gmu != nil {
-		return fmt.Sprintf("DMT/%dsites/coarse", d.sites)
+// forget drops the gate's bits of a finished incarnation.
+func (d *DMT) forget(txn int) {
+	if d.gated() {
+		d.mu.Lock()
+		delete(d.attempts, txn)
+		d.mu.Unlock()
 	}
-	return fmt.Sprintf("DMT/%dsites", d.sites)
 }
-
-// Cluster exposes the underlying cluster (metrics).
-func (d *DMT) Cluster() *dmt.Cluster { return d.cluster }
 
 // Begin implements Scheduler.
 func (d *DMT) Begin(txn int) {
-	d.mu.Lock()
-	d.txns[txn] = &mtTxn{writes: make(map[string]int64)}
-	d.mu.Unlock()
-}
-
-// state returns the live incarnation's buffers, or nil if the
-// transaction has no live incarnation (never began, or was aborted by a
-// timed-out runtime attempt whose straggler operation arrives late).
-// Returning nil instead of panicking keeps a degraded run alive: the
-// caller answers such stray operations with a plain abort.
-func (d *DMT) state(txn int) *mtTxn {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.txns[txn]
-}
-
-// Read implements Scheduler. Striped: the item's latch is held from
-// the protocol step through the store fetch, so the value read is the
-// committed state the decision was made against.
-func (d *DMT) Read(txn int, item string) (int64, error) {
-	defer d.serialize()()
-	st := d.state(txn)
-	if st == nil {
-		return 0, Abort(txn, 0, "no live incarnation")
-	}
-	d.mu.Lock()
-	if v, ok := st.writes[item]; ok {
+	if d.gated() {
+		d.mu.Lock()
+		d.attempts[txn] = 0
 		d.mu.Unlock()
-		return v, nil
 	}
-	d.mu.Unlock()
-	if err := d.admitStep(txn, st); err != nil {
+	d.adapter.Begin(txn)
+}
+
+// Read implements Scheduler: the gate, then the lifecycle.
+func (d *DMT) Read(txn int, item string) (int64, error) {
+	if err := d.admitStep(txn); err != nil {
 		return 0, err
 	}
-	defer d.latch(item)()
-	dec := d.cluster.Step(oplog.R(txn, item))
-	d.observeStep(txn, dec)
-	if dec.Verdict == core.Unavailable {
-		return 0, Unavailable(txn, dec.Site, "read unreachable")
+	v, err := d.adapter.Read(txn, item)
+	if err == nil {
+		d.mark(txn, attemptStepped)
 	}
-	if dec.Verdict == core.Reject {
-		d.mu.Lock()
-		st.blocker = dec.Blocker
-		_, live := d.txns[dec.Blocker]
-		d.mu.Unlock()
-		return 0, abortBy(txn, dec.Blocker, live, "read rejected")
-	}
-	d.mu.Lock()
-	st.stepped = true
-	d.mu.Unlock()
-	// No dirty-read window: the cluster publishes WT(x) at write time but
-	// the data publishes at commit; conservatively abort reads over items
-	// with a live writer (cheap check via the adapter's live set).
-	if w := d.cluster.WTHolder(item); w != 0 && w != txn {
-		d.mu.Lock()
-		_, live := d.txns[w]
-		d.mu.Unlock()
-		if live {
-			return 0, Abort(txn, w, "read over uncommitted writer")
-		}
-	}
-	d.maybeGC()
-	return d.store.Get(item), nil
+	return v, err
 }
 
-// Write implements Scheduler: validated immediately at the cluster,
-// buffered for atomic publication at commit.
+// Write implements Scheduler: the gate, then the lifecycle.
 func (d *DMT) Write(txn int, item string, v int64) error {
-	defer d.serialize()()
-	st := d.state(txn)
-	if st == nil {
-		return Abort(txn, 0, "no live incarnation")
-	}
-	if err := d.admitStep(txn, st); err != nil {
+	if err := d.admitStep(txn); err != nil {
 		return err
 	}
-	// No write-write inversion: with deferred writes, two live
-	// transactions writing the same item would both hold buffered
-	// values, and whichever COMMITS last would publish last — if that is
-	// the older-timestamped writer, the store ends up with the stale
-	// value and the committed history has a cycle. Mirror the read
-	// path's guard: abort rather than step over a live uncommitted
-	// writer. The item's latch is held from the check through the
-	// protocol step so the previous writer cannot publish (nor a new
-	// writer slip in) between the two.
-	unlock := d.latch(item)
-	if w := d.cluster.WTHolder(item); w != 0 && w != txn {
-		d.mu.Lock()
-		_, live := d.txns[w]
-		if live {
-			st.blocker = w
-		}
-		d.mu.Unlock()
-		if live {
-			unlock()
-			return Abort(txn, w, "write over uncommitted writer")
-		}
+	err := d.adapter.Write(txn, item, v)
+	if err == nil {
+		d.mark(txn, attemptStepped)
 	}
-	dec := d.cluster.Step(oplog.W(txn, item))
-	unlock()
-	d.observeStep(txn, dec)
-	if dec.Verdict == core.Unavailable {
-		return Unavailable(txn, dec.Site, "write unreachable")
-	}
-	if dec.Verdict == core.Reject {
-		d.mu.Lock()
-		st.blocker = dec.Blocker
-		_, live := d.txns[dec.Blocker]
-		d.mu.Unlock()
-		return abortBy(txn, dec.Blocker, live, "write rejected")
-	}
-	d.mu.Lock()
-	st.writes[item] = v
-	st.stepped = true
-	d.mu.Unlock()
-	return nil
+	return err
 }
 
-// admitStep is the degraded-mode gate in front of every protocol step:
-// when the transaction's home site is down, the attempt is counted
-// against the degraded window once, and — if parking is enabled and
-// nothing has been validated in this incarnation yet — parked until
-// the site heals. A home that stays down past the deadline, a full
-// queue, or a mid-flight loss (some step already validated against
-// state the crash destroyed) all fail fast with ErrUnavailable, which
-// the runtime's unavailability budget absorbs. No-op without a
-// transport.
-func (d *DMT) admitStep(txn int, st *mtTxn) error {
-	if !d.trackWindows && d.breaker == nil {
+// admitStep is the degraded-mode gate in front of every operation: when
+// the transaction's home site is down, the attempt is counted against
+// the degraded window once, and — if parking is enabled and nothing has
+// been validated in this incarnation yet — parked until the site heals.
+// A home that stays down past the deadline, a full queue, or a
+// mid-flight loss (some step already validated against state the crash
+// destroyed) all fail fast with ErrUnavailable, which the runtime's
+// unavailability budget absorbs. An operation on a transaction with no
+// live incarnation passes: the lifecycle answers it.
+func (d *DMT) admitStep(txn int) error {
+	if !d.gated() {
 		return nil
 	}
-	home := d.cluster.TxnSite(txn)
-	if d.trackWindows && !d.cluster.SiteUp(home) {
-		d.mu.Lock()
-		counted, stepped := st.winCounted, st.stepped
-		st.winCounted = true
-		d.mu.Unlock()
-		if !counted {
-			d.winAttempts.Add(1)
-		}
-		// Open circuit: fail fast before parking — the whole point of
-		// the breaker is not to burn a parked attempt's deadline against
-		// a site the detector already holds Down. The half-open probe
-		// that Allow lets through still takes the normal path below.
-		if d.breaker != nil && !d.breaker.Allow(home) {
-			return Unavailable(txn, home, "site breaker open")
-		}
-		if d.parkSem == nil || stepped {
-			return Unavailable(txn, home, "home site down")
-		}
-		return d.parkWait(txn, home)
+	home := d.k.cluster.TxnSite(txn)
+	var counted uint8
+	if d.trackWindows && !d.k.cluster.SiteUp(home) {
+		counted = attemptCounted
 	}
-	// Site looks up locally but the circuit may still be open (cooldown
-	// running after a heal): fail fast until a probe closes it.
-	if d.breaker != nil && !d.breaker.Allow(home) {
+	had, live := d.mark(txn, counted)
+	if !live {
+		return nil
+	}
+	if counted&^had != 0 {
+		d.winAttempts.Add(1)
+	}
+	// Open circuit: fail fast before parking — the whole point of the
+	// breaker is not to burn a parked attempt's deadline against a site
+	// the detector already holds Down — and keep failing fast after a
+	// heal until the cooldown's half-open probe closes it. The probe
+	// that Allow lets through takes the normal path below.
+	if b := d.k.breaker; b != nil && !b.Allow(home) {
 		return Unavailable(txn, home, "site breaker open")
 	}
-	return nil
-}
-
-// observeStep feeds the breaker from one protocol step's outcome: an
-// Unavailable verdict is a failed contact with the unreachable site,
-// any decided verdict (Accept or Reject — the protocol answered) is a
-// successful contact with the transaction's acting home site.
-func (d *DMT) observeStep(txn int, dec core.Decision) {
-	if d.breaker == nil {
-		return
+	if counted == 0 {
+		return nil
 	}
-	if dec.Verdict == core.Unavailable {
-		d.breaker.Observe(dec.Site, false)
-	} else {
-		d.breaker.Observe(d.cluster.TxnSite(txn), true)
+	if d.parkSem == nil || had&attemptStepped != 0 {
+		return Unavailable(txn, home, "home site down")
 	}
+	return d.parkWait(txn, home)
 }
 
 // Commit implements Scheduler. A transaction whose home site crashed
@@ -392,71 +386,35 @@ func (d *DMT) observeStep(txn int, dec core.Decision) {
 // recovers (fail-fast); with parking (SetParking) the commit waits in a
 // bounded hand-off queue for the site to heal, turning the crash window
 // from guaranteed aborts into mostly-delayed commits. Parking happens
-// BEFORE the coarse variant's global mutex is taken, so waiting commits
-// never block reads and writes at reachable sites.
+// BEFORE the lifecycle takes any lock, so waiting commits never block
+// reads and writes at reachable sites.
 func (d *DMT) Commit(txn int) error {
-	home := d.cluster.TxnSite(txn)
+	home := d.k.cluster.TxnSite(txn)
 	var track bool
 	if d.trackWindows {
-		d.mu.Lock()
-		if st := d.txns[txn]; st != nil && st.winCounted {
-			track = true // attempt already counted at a parked/refused step
-		}
-		d.mu.Unlock()
-		if !track && d.cluster.InDegradedWindow() {
+		had, live := d.mark(txn, 0)
+		track = had&attemptCounted != 0 // counted at a parked/refused step
+		if live && !track && d.k.cluster.InDegradedWindow() {
 			track = true
 			d.winAttempts.Add(1)
 		}
 	}
-	if !d.cluster.SiteUp(home) {
-		if err := d.parkCommit(txn, home); err != nil {
+	if !d.k.cluster.SiteUp(home) {
+		if d.parkSem == nil {
+			return Unavailable(txn, home, "commit on crashed home site")
+		}
+		if err := d.parkWait(txn, home); err != nil {
 			return err
 		}
 	}
-	defer d.serialize()()
-	d.mu.Lock()
-	st := d.txns[txn]
-	d.mu.Unlock()
-	if st != nil {
-		// Striped: hold the write set's latches across the publish and
-		// the protocol commit, so a concurrent reader of a written item
-		// sees either the pre-commit state with the pre-commit ordering
-		// or the post-commit state with the post-commit ordering. The
-		// live-set entry is removed only after the publish: the
-		// uncommitted-writer guards key off it, and deleting it first
-		// would open a window where a guard sees "not live" while the
-		// buffered writes are still unpublished.
-		items := make([]string, 0, len(st.writes))
-		for x := range st.writes {
-			items = append(items, x)
-		}
-		unlock := d.latch(items...)
-		d.store.ApplyTxn(txn, st.writes)
-		d.cluster.Commit(txn)
-		d.mu.Lock()
-		delete(d.txns, txn)
-		d.mu.Unlock()
-		unlock()
-	} else {
-		d.cluster.Commit(txn)
-	}
-	if d.breaker != nil {
-		d.breaker.Observe(home, true)
+	if err := d.adapter.Commit(txn); err != nil {
+		return err
 	}
 	if track {
 		d.winCommits.Add(1)
 	}
-	d.maybeGC()
+	d.forget(txn)
 	return nil
-}
-
-// parkCommit parks a commit whose home site is down (fail-fast without
-// a queue — the pre-degraded behavior).
-func (d *DMT) parkCommit(txn, home int) error {
-	if d.parkSem == nil {
-		return Unavailable(txn, home, "commit on crashed home site")
-	}
-	return d.parkWait(txn, home)
 }
 
 // parkWait is the degraded-mode hand-off: wait (bounded in space by
@@ -477,9 +435,9 @@ func (d *DMT) parkWait(txn, home int) error {
 	d.parked.Add(1)
 	deadline := time.Now().Add(d.parking.Deadline)
 	for tick := int64(1); ; tick++ {
-		up := d.cluster.ProbeSite(home) == nil && d.cluster.SiteUp(home)
-		if d.breaker != nil {
-			d.breaker.Observe(home, up)
+		up := d.k.cluster.ProbeSite(home) == nil && d.k.cluster.SiteUp(home)
+		if d.k.breaker != nil {
+			d.k.breaker.Observe(home, up)
 		}
 		if up {
 			d.healed.Add(1)
@@ -497,21 +455,6 @@ func (d *DMT) parkWait(txn, home int) error {
 
 // Abort implements Scheduler.
 func (d *DMT) Abort(txn int) {
-	defer d.serialize()()
-	d.mu.Lock()
-	st := d.txns[txn]
-	blocker := 0
-	if st != nil {
-		blocker = st.blocker
-	}
-	delete(d.txns, txn)
-	d.mu.Unlock()
-	d.cluster.Abort(txn, blocker)
-}
-
-// maybeGC sweeps finished vectors every 256 scheduler steps.
-func (d *DMT) maybeGC() {
-	if d.steps.Add(1)%256 == 0 {
-		d.cluster.GC()
-	}
+	d.adapter.Abort(txn)
+	d.forget(txn)
 }

@@ -155,6 +155,78 @@ func TestDMTMidFlightLossFailsFast(t *testing.T) {
 	}
 }
 
+// The gate sits in FRONT of the lifecycle: an attempt parked at its
+// first step holds no item latch and no transaction-state lock. While
+// T1 (home site down) is parked on x, T2 (healthy home) reads, writes
+// and commits x; a stray Read and a stray Abort on T1's own id return
+// at once; and once the site heals, the parked straggler is answered
+// like any stray and T1's next incarnation reads T2's value and commits.
+func TestDMTParkedAttemptHoldsNoLocks(t *testing.T) {
+	d, st := newParkingDMT(t, true)
+	d.SetParking(Parking{Capacity: 1, Deadline: 10 * time.Second, Poll: 100 * time.Microsecond})
+	st.Set("x", 41)
+	// within runs f on its own goroutine and fails the test if it blocks.
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { f(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s blocked behind the parked attempt", what)
+		}
+	}
+	d.Begin(1) // homed at site 1
+	d.Cluster().CrashSite(1, false)
+	parked := make(chan error, 1)
+	go func() {
+		_, err := d.Read(1, "x")
+		parked <- err
+	}()
+	waitFor(t, func() bool { return d.Degraded().Parked == 1 })
+
+	// No item latch: a healthy transaction runs the full lifecycle on x.
+	within("T2 on the parked item", func() {
+		d.Begin(2) // homed at site 0
+		if v, err := d.Read(2, "x"); err != nil || v != 41 {
+			t.Errorf("T2 read: v=%d err=%v", v, err)
+		}
+		if err := d.Write(2, "x", 42); err != nil {
+			t.Errorf("T2 write: %v", err)
+		}
+		if err := d.Commit(2); err != nil {
+			t.Errorf("T2 commit: %v", err)
+		}
+	})
+	if got := st.Get("x"); got != 42 {
+		t.Fatalf("x = %d after T2's commit, want 42", got)
+	}
+	// No gate lock: a stray Read on T1's id meets the full queue and is
+	// refused without waiting. No transaction-state lock: a stray Abort
+	// takes T1's state lock and ends the incarnation.
+	within("stray Read on the parked id", func() {
+		if _, err := d.Read(1, "x"); !errors.Is(err, ErrUnavailable) {
+			t.Errorf("stray read: %v, want ErrUnavailable (queue full)", err)
+		}
+	})
+	within("stray Abort on the parked id", func() { d.Abort(1) })
+	if s := d.Degraded(); s.Parked != 1 || s.Rejected != 1 {
+		t.Fatalf("stats = %+v, want 1 parked, 1 rejected", s)
+	}
+
+	d.Cluster().RecoverSite(1)
+	if err := <-parked; !errors.Is(err, ErrAbort) {
+		t.Fatalf("parked read of the aborted incarnation: %v, want a plain abort", err)
+	}
+	d.Begin(1)
+	if v, err := d.Read(1, "x"); err != nil || v != 42 {
+		t.Fatalf("T1 after the heal: v=%d err=%v, want T2's 42", v, err)
+	}
+	if err := d.Commit(1); err != nil {
+		t.Fatalf("T1 commit after the heal: %v", err)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -26,11 +26,3 @@ type DurableCounters interface {
 	// watermarks. Call before traffic flows; raising, never lowering.
 	SeedWALCounters(lo, hi int64)
 }
-
-// WALCounters implements DurableCounters. The cluster takes its own
-// per-site counter locks (never the adapter mutex), so the
-// journal-hook no-reentrancy rule is satisfied trivially.
-func (d *DMT) WALCounters() (lo, hi int64) { return d.cluster.Counters() }
-
-// SeedWALCounters implements DurableCounters.
-func (d *DMT) SeedWALCounters(lo, hi int64) { d.cluster.RaiseCounters(lo, hi) }

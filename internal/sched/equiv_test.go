@@ -27,18 +27,26 @@ type equivPair struct {
 	deferred      bool
 }
 
-// newMTPair builds the original MT pair: the retained coarse
-// global-mutex adapter as the reference, the striped adapter as the
-// subject.
-func newMTPair(opts sched.MTOptions) *equivPair {
+// newPair builds a pair from a production constructor: the subject over
+// one store, its reference (sched.Reference: the global-mutex lifecycle
+// over the same family's kernel, same options) over another.
+func newPair(build func(*storage.Store) sched.Scheduler, deferred bool) *equivPair {
 	rs, ss := storage.New(), storage.New()
+	subj := build(ss)
 	return &equivPair{
-		ref:      sched.NewMT(rs, opts),
-		subj:     sched.NewMTStriped(ss, opts),
+		ref:      sched.Reference(subj, rs),
+		subj:     subj,
 		rstore:   rs,
 		store:    ss,
-		deferred: opts.DeferWrites,
+		deferred: deferred,
 	}
+}
+
+// newMTPair builds the original MT pair: the retained coarse
+// global-mutex lifecycle as the reference, the striped adapter as the
+// subject.
+func newMTPair(opts sched.MTOptions) *equivPair {
+	return newPair(func(s *storage.Store) sched.Scheduler { return sched.NewMTStriped(s, opts) }, opts.DeferWrites)
 }
 
 // runEquivWorkload interleaves the workload's transactions operation by
@@ -247,34 +255,20 @@ func TestStripedEquivalence(t *testing.T) {
 func TestEngineVariantEquivalence(t *testing.T) {
 	pairs := map[string]func() *equivPair{
 		"nested-k2k2": func() *equivPair {
-			rs, ss := storage.New(), storage.New()
 			unit := func(txn, lvl int) int { return txn % 3 }
-			return &equivPair{
-				ref:      sched.NewNested(rs, sched.NestedOptions{Ks: []int{2, 2}, UnitOf: unit, Coarse: true}),
-				subj:     sched.NewNested(ss, sched.NestedOptions{Ks: []int{2, 2}, UnitOf: unit}),
-				rstore:   rs,
-				store:    ss,
-				deferred: true,
-			}
+			return newPair(func(s *storage.Store) sched.Scheduler {
+				return sched.NewNested(s, sched.NestedOptions{Ks: []int{2, 2}, UnitOf: unit})
+			}, true)
 		},
 		"composite-k3": func() *equivPair {
-			rs, ss := storage.New(), storage.New()
-			return &equivPair{
-				ref:      sched.NewCompositeCoarse(rs, 3, engine.Options{}),
-				subj:     sched.NewComposite(ss, 3, engine.Options{}),
-				rstore:   rs,
-				store:    ss,
-				deferred: true,
-			}
+			return newPair(func(s *storage.Store) sched.Scheduler {
+				return sched.NewComposite(s, 3, engine.Options{})
+			}, true)
 		},
 		"dmt-k2-3sites": func() *equivPair {
-			rs, ss := storage.New(), storage.New()
-			return &equivPair{
-				ref:    sched.NewDMTCoarse(rs, dmt.Options{K: 2, Sites: 3}),
-				subj:   sched.NewDMT(ss, dmt.Options{K: 2, Sites: 3}),
-				rstore: rs,
-				store:  ss,
-			}
+			return newPair(func(s *storage.Store) sched.Scheduler {
+				return sched.NewDMT(s, dmt.Options{K: 2, Sites: 3})
+			}, false)
 		},
 	}
 	for pname, mk := range pairs {

@@ -63,6 +63,20 @@ func (f *family) reason(stage string) string {
 	return stage
 }
 
+// refusal turns a step the kernel did not accept into the caller's
+// error. A Reject is a lost conflict, worded by rejected: who is the
+// blocker, recorded in *blocker so the next Abort can reseed past it.
+// An Unavailable is no decision at all — the site who could not be
+// reached, nothing was ordered — so nothing is recorded and the error
+// is not an abort.
+func (f *family) refusal(blocker *int, txn int, v core.Verdict, who int, live func(int) bool, rejected string) error {
+	if v == core.Unavailable {
+		return Unavailable(txn, who, "site unreachable")
+	}
+	*blocker = who
+	return abortBy(txn, who, live(who), f.reason(rejected))
+}
+
 // noIncarnation answers an operation on a transaction with no live
 // incarnation — never begun, or aborted by a deadline-expired runtime
 // attempt whose straggler arrives late — with a plain abort, not a panic.
@@ -73,13 +87,6 @@ type mtTxn struct {
 	writes  map[string]int64
 	order   []string // write order, for deterministic commit validation
 	blocker int      // last rejecting transaction (starvation fix seed)
-
-	// DMT degraded-mode bookkeeping (see sched/dmt.go): whether this
-	// incarnation has validated any protocol step (a parked attempt may
-	// only resume if nothing was validated against pre-crash state), and
-	// whether it was already counted as a degraded-window attempt.
-	stepped    bool
-	winCounted bool
 }
 
 // MT is the coarse reference lifecycle: one global mutex around the
@@ -88,31 +95,49 @@ type mtTxn struct {
 // stays because equiv_test and the schedule explorer's parity oracle
 // need a second, independent implementation of the lifecycle — locking,
 // buffering, guards, publish order — to compare the adapter against,
-// decision for decision. It takes any unsynchronised kernel, so every
-// family has its reference without a hand-written coarse twin; an item
-// is interned once per call, for the protocol step only.
+// decision for decision. It takes any kernel, so every family has its
+// reference without a hand-written coarse twin; an item is interned
+// once per call, for the protocol step only.
 type MT struct {
 	family
 	mu    sync.Mutex
 	sched kernel
-	core  *engine.Scheduler // sched again when it is MT(k) (immediate-mode guards), else nil
+	probe pendingWriters // sched again, for immediate mode; nil when deferred
 	store *storage.Store
 	txns  map[int]*mtTxn
+	live  func(int) bool // has txn runtime state? (the caller holds mu)
 }
 
 // NewMT returns the reference MT(k)-family runtime scheduler over the
 // store.
 func NewMT(store *storage.Store, opts MTOptions) *MT {
-	eng := engine.NewSchedulerInterned(opts.Core, store.Interner())
-	m := newReference(store, opts.family(""), eng)
-	m.core = eng
-	return m
+	return newReference(store, opts.family(""), engine.NewSchedulerInterned(opts.Core, store.Interner()))
 }
 
 // newReference wraps the reference lifecycle around k, which must index
 // items by the store's interned ids.
 func newReference(store *storage.Store, f family, k kernel) *MT {
-	return &MT{family: f, sched: k, store: store, txns: make(map[int]*mtTxn)}
+	m := &MT{family: f, sched: k, store: store, txns: make(map[int]*mtTxn)}
+	if !f.deferred {
+		m.probe = k.(pendingWriters)
+	}
+	m.live = func(txn int) bool { _, ok := m.txns[txn]; return ok }
+	return m
+}
+
+// referencer is implemented by every production scheduler of this
+// package: it builds its family's reference with its own options.
+type referencer interface {
+	reference(*storage.Store) *MT
+}
+
+// Reference returns the reference lifecycle of the production scheduler
+// of (an MTStriped, Composite, Nested or DMT), built with the same
+// options over store: the differential twin equiv_test and the schedule
+// explorer's parity oracle replay against. It is the one door to a
+// family's reference besides NewMT.
+func Reference(of Scheduler, store *storage.Store) *MT {
+	return of.(referencer).reference(store)
 }
 
 // Begin implements Scheduler.
@@ -144,17 +169,13 @@ func (m *MT) Read(txn int, item string) (int64, error) {
 		return v, nil
 	}
 	id := m.store.IDOf(item)
-	if v, blocker := m.sched.StepReadID(txn, id); v == core.Reject {
-		st.blocker = blocker
-		_, live := m.txns[blocker]
-		return 0, abortBy(txn, blocker, live, m.reason("read rejected"))
+	if v, who := m.sched.StepReadID(txn, id); v != core.Accept {
+		return 0, m.refusal(&st.blocker, txn, v, who, m.live, "read rejected")
 	}
 	if !m.deferred {
-		if _, w := m.core.Holders(id); w != txn {
-			if _, live := m.txns[w]; live && !m.core.Vector(txn).Less(m.core.Vector(w)) {
-				st.blocker = w
-				return 0, Abort(txn, w, "read ordered after uncommitted writer")
-			}
+		if w, conflict := m.probe.ReadPendingWriterID(txn, id, m.live); conflict {
+			st.blocker = w
+			return 0, Abort(txn, w, "read ordered after uncommitted writer")
 		}
 	}
 	return m.store.Get(item), nil
@@ -181,17 +202,13 @@ func (m *MT) Write(txn int, item string, v int64) error {
 	}
 	if !m.deferred {
 		id := m.store.IDOf(item)
-		if _, w := m.core.Holders(id); w != 0 && w != txn {
-			if _, live := m.txns[w]; live {
-				st.blocker = w
-				return Abort(txn, w, "write conflicts with uncommitted writer")
-			}
+		if w, conflict := m.probe.WritePendingWriterID(txn, id, m.live); conflict {
+			st.blocker = w
+			return Abort(txn, w, "write conflicts with uncommitted writer")
 		}
-		switch v, blocker := m.sched.StepWriteID(txn, id); v {
-		case core.Reject:
-			st.blocker = blocker
-			_, live := m.txns[blocker]
-			return abortBy(txn, blocker, live, m.reason("write rejected"))
+		switch v, who := m.sched.StepWriteID(txn, id); v {
+		case core.Reject, core.Unavailable:
+			return m.refusal(&st.blocker, txn, v, who, m.live, "write rejected")
 		case core.AcceptIgnored:
 			// Thomas write rule: the write is obsolete; drop it.
 			delete(st.writes, item)
@@ -217,13 +234,12 @@ func (m *MT) Commit(txn int) error {
 	}
 	if m.deferred {
 		for _, x := range st.order {
-			switch v, blocker := m.sched.StepWriteID(txn, m.store.IDOf(x)); v {
-			case core.Reject:
-				st.blocker = blocker
-				m.sched.Abort(txn, blocker)
+			switch v, who := m.sched.StepWriteID(txn, m.store.IDOf(x)); v {
+			case core.Reject, core.Unavailable:
+				err := m.refusal(&st.blocker, txn, v, who, m.live, "commit-time write validation failed")
+				m.sched.Abort(txn, st.blocker)
 				delete(m.txns, txn)
-				_, live := m.txns[blocker]
-				return abortBy(txn, blocker, live, m.reason("commit-time write validation failed"))
+				return err
 			case core.AcceptIgnored:
 				delete(st.writes, x)
 			}
@@ -249,8 +265,11 @@ func (m *MT) Abort(txn int) {
 }
 
 // Core exposes the underlying MT(k) protocol scheduler (tests,
-// diagnostics).
-func (m *MT) Core() *engine.Scheduler { return m.core }
+// diagnostics); nil when the reference wraps another family's kernel.
+func (m *MT) Core() *engine.Scheduler {
+	c, _ := m.sched.(*engine.Scheduler)
+	return c
+}
 
 // WALCounters implements DurableCounters. It takes no lock: the
 // journal hook runs inside the lifecycle's own critical section.

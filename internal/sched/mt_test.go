@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dmt"
 	"repro/internal/engine"
 	"repro/internal/intern"
 	"repro/internal/nested"
@@ -60,9 +61,12 @@ func TestMTNames(t *testing.T) {
 	for want, s := range map[string]Scheduler{
 		"MT(3)/striped/deferred": NewMTStriped(st, MTOptions{Core: engine.Options{K: 3}, DeferWrites: true}),
 		"MT(3)/striped/mono":     NewMTStriped(st, MTOptions{Core: engine.Options{K: 3, MonotonicEncoding: true}}),
-		"MT(3+)/coarse":          NewCompositeCoarse(st, 3, engine.Options{}),
+		"MT(3)/deferred":         Reference(NewMTStriped(st, MTOptions{Core: engine.Options{K: 3}, DeferWrites: true}), st),
+		"MT(3+)/coarse":          Reference(NewComposite(st, 3, engine.Options{}), st),
 		"MT(2,2)":                NewNested(st, NestedOptions{Ks: []int{2, 2}}),
-		"MT(2,3)/coarse":         NewNested(st, NestedOptions{Ks: []int{2, 3}, Coarse: true}),
+		"MT(2,3)/coarse":         Reference(NewNested(st, NestedOptions{Ks: []int{2, 3}}), st),
+		"DMT/3sites":             NewDMT(st, dmt.Options{K: 2, Sites: 3}),
+		"DMT/3sites/coarse":      Reference(NewDMT(st, dmt.Options{K: 2, Sites: 3}), st),
 	} {
 		if got := s.Name(); got != want {
 			t.Fatalf("Name = %q, want %q", got, want)
@@ -326,11 +330,16 @@ func TestNestedReclaimsFinishedVectors(t *testing.T) {
 		st.Set(x, 0)
 	}
 	for _, coarse := range []bool{false, true} {
-		n := NewNested(st, NestedOptions{
+		prod := NewNested(st, NestedOptions{
 			Ks:     []int{2, 2},
 			UnitOf: func(txn, lvl int) int { return txn % 3 },
-			Coarse: coarse,
 		})
+		var n Scheduler = prod
+		proto := prod.Protocol()
+		if coarse {
+			ref := Reference(prod, st)
+			n, proto = ref, ref.sched.(*nested.Scheduler)
+		}
 		committed := 0
 		for txn := 1; committed < 10000; txn++ {
 			n.Begin(txn)
@@ -347,7 +356,7 @@ func TestNestedReclaimsFinishedVectors(t *testing.T) {
 			}
 			committed++
 			// T_0, at most an RT and a WT holder per item, nobody live.
-			if got, bound := n.Protocol().LiveVectors(), 1+2*len(items); got > bound {
+			if got, bound := proto.LiveVectors(), 1+2*len(items); got > bound {
 				t.Fatalf("coarse=%v: %d level-0 vectors after %d commits, bound %d", coarse, got, committed, bound)
 			}
 		}

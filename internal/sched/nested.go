@@ -16,35 +16,39 @@ type NestedOptions struct {
 	// >= 1 (nested.Options.UnitOf); nil puts every transaction in
 	// group 0.
 	UnitOf func(txn, lvl int) int
-	// Coarse selects the reference lifecycle: every store access runs
-	// under the protocol mutex. The default (false) is the production
-	// adapter, where item latches let store accesses on disjoint items
-	// overlap.
-	Coarse bool
 }
 
 // Nested is the hierarchical MT(k1, ..., kl) protocol at runtime
 // (deferred writes: the protocol table has no abort/reseed machinery,
 // so WT(x) must only ever name committed transactions), under the
-// shared adapter or, with NestedOptions.Coarse, the coarse reference.
+// shared adapter.
 type Nested struct {
-	lifecycle
+	*adapter
 	proto *nested.Scheduler
+	opts  NestedOptions
 }
 
 // NewNested returns an MT(k1, ..., kl) runtime scheduler over the store.
 func NewNested(store *storage.Store, opts NestedOptions) *Nested {
-	p := nested.NewSchedulerInterned(nested.Options{Ks: opts.Ks, UnitOf: opts.UnitOf}, store.Interner())
-	ks := make([]string, len(opts.Ks))
-	for i, k := range opts.Ks {
+	p := opts.protocol(store)
+	return &Nested{newSerialAdapter(store, opts.family(""), p), p, opts}
+}
+
+// reference implements referencer.
+func (n *Nested) reference(store *storage.Store) *MT {
+	return newReference(store, n.opts.family("/coarse"), n.opts.protocol(store))
+}
+
+func (o NestedOptions) protocol(store *storage.Store) *nested.Scheduler {
+	return nested.NewSchedulerInterned(nested.Options{Ks: o.Ks, UnitOf: o.UnitOf}, store.Interner())
+}
+
+func (o NestedOptions) family(variant string) family {
+	ks := make([]string, len(o.Ks))
+	for i, k := range o.Ks {
 		ks[i] = strconv.Itoa(k)
 	}
-	f := family{name: "MT(" + strings.Join(ks, ",") + ")", deferred: true}
-	if opts.Coarse {
-		f.name += "/coarse"
-		return &Nested{newReference(store, f, p), p}
-	}
-	return &Nested{newSerialAdapter(store, f, p), p}
+	return family{name: "MT(" + strings.Join(ks, ",") + ")" + variant, deferred: true}
 }
 
 // Protocol exposes the underlying hierarchical scheduler (tests,

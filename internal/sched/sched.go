@@ -131,9 +131,8 @@ func DeadlineExceeded(txn int, elapsed time.Duration, stage string) error {
 // already aborted or committed, or was re-begun meanwhile. No such call
 // may panic. With no live incarnation of txn, Read, Write and Commit
 // return a plain *AbortError — Blocker 0, BlockerFinished false — and
-// change nothing (DMT alone answers the Commit with a no-op nil); Abort
-// stays idempotent. TestStrayAttemptContract holds every implementation
-// to this.
+// change nothing; Abort stays idempotent. TestStrayAttemptContract
+// holds every implementation to this.
 type Scheduler interface {
 	// Name identifies the protocol in reports, e.g. "MT(3)".
 	Name() string

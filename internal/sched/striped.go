@@ -23,7 +23,8 @@ import (
 // the reference's global mutex) around every step.
 type kernel interface {
 	// The step methods run one arm of the scheduler procedure for an
-	// interned item; on Reject the int names the blocker (0 for nobody).
+	// interned item; on Reject the int names the blocker (0 for nobody),
+	// on Unavailable the site that could not be reached.
 	StepReadID(txn int, id int32) (core.Verdict, int)
 	StepWriteID(txn int, id int32) (core.Verdict, int)
 	// Commit and Abort end the transaction's protocol state; blocker is
@@ -37,7 +38,7 @@ type kernel interface {
 
 // pendingWriters is what a kernel adds to be offered in immediate mode:
 // the probes behind the two uncommitted-writer guards, asked with the
-// item's latch held. Only engine.Striped has them.
+// item's latch held.
 type pendingWriters interface {
 	ReadPendingWriterID(txn int, id int32, live func(int) bool) (blocker int, conflict bool)
 	WritePendingWriterID(txn int, id int32, live func(int) bool) (blocker int, conflict bool)
@@ -196,11 +197,9 @@ func (a *adapter) Read(txn int, item string) (int64, error) {
 	}
 	stripe := a.lt.StripeOfID(id)
 	a.lt.LockStripe(stripe)
-	v, blocker := a.k.StepReadID(txn, id)
-	if v == core.Reject {
+	if v, who := a.k.StepReadID(txn, id); v != core.Accept {
 		a.lt.UnlockStripe(stripe)
-		st.blocker = blocker
-		return 0, abortBy(txn, blocker, a.live(blocker), a.reason("read rejected"))
+		return 0, a.refusal(&st.blocker, txn, v, who, a.liveFn, "read rejected")
 	}
 	if !a.deferred {
 		if w, conflict := a.probe.ReadPendingWriterID(txn, id, a.liveFn); conflict {
@@ -233,12 +232,11 @@ func (a *adapter) Write(txn int, item string, v int64) error {
 			st.blocker = w
 			return Abort(txn, w, "write conflicts with uncommitted writer")
 		}
-		verdict, blocker := a.k.StepWriteID(txn, id)
+		verdict, who := a.k.StepWriteID(txn, id)
 		a.lt.UnlockStripe(stripe)
 		switch verdict {
-		case core.Reject:
-			st.blocker = blocker
-			return abortBy(txn, blocker, a.live(blocker), a.reason("write rejected"))
+		case core.Reject, core.Unavailable:
+			return a.refusal(&st.blocker, txn, verdict, who, a.liveFn, "write rejected")
 		case core.AcceptIgnored:
 			// Thomas write rule: the write is obsolete; drop it.
 			delete(st.writes, id)
@@ -280,13 +278,13 @@ func (a *adapter) Commit(txn int) error {
 			continue // dropped at write time (Thomas write rule)
 		}
 		if a.deferred {
-			switch verdict, blocker := a.k.StepWriteID(txn, id); verdict {
-			case core.Reject:
-				st.blocker = blocker
-				a.k.Abort(txn, blocker)
+			switch verdict, who := a.k.StepWriteID(txn, id); verdict {
+			case core.Reject, core.Unavailable:
+				err := a.refusal(&st.blocker, txn, verdict, who, a.liveFn, "commit-time write validation failed")
+				a.k.Abort(txn, st.blocker)
 				a.lt.UnlockStripesSorted(st.stripes)
 				a.drop(txn)
-				return abortBy(txn, blocker, a.live(blocker), a.reason("commit-time write validation failed"))
+				return err
 			case core.AcceptIgnored:
 				continue
 			}
@@ -378,14 +376,18 @@ func (a *adapter) TryPartialRestart(txn int, readItems []string) bool {
 type MTStriped struct {
 	*adapter
 	sched *engine.Striped
+	opts  MTOptions
 }
 
 // NewMTStriped returns a striped MT(k)-family runtime scheduler over
 // the store. The engine shares the store's intern table.
 func NewMTStriped(store *storage.Store, opts MTOptions) *MTStriped {
 	eng := engine.NewStripedInterned(opts.Core, store.Interner())
-	return &MTStriped{newAdapter(store, opts.family("/striped"), eng, eng.Latches()), eng}
+	return &MTStriped{newAdapter(store, opts.family("/striped"), eng, eng.Latches()), eng, opts}
 }
+
+// reference implements referencer.
+func (m *MTStriped) reference(store *storage.Store) *MT { return NewMT(store, m.opts) }
 
 // Striped exposes the underlying protocol scheduler (tests,
 // diagnostics).
@@ -395,7 +397,13 @@ func (m *MTStriped) Striped() *engine.Striped { return m.sched }
 // discovery; MT exposes the same via Core().K()).
 func (m *MTStriped) K() int { return m.sched.K() }
 
-// SetUnsafePublish toggles the reintroduced publish-inversion bug
-// (test-only fault injection for the schedule explorer; see the field
-// comment).
-func (m *MTStriped) SetUnsafePublish(v bool) { m.unsafePublish = v }
+// SetUnsafe is the one door to the two seeded bugs the schedule
+// explorer (internal/explore) must be able to find again; nothing else
+// may call it, and no options struct carries either switch. publish
+// reintroduces the PR 5 deferred-mode publish inversion (see
+// adapter.unsafePublish), eagerReclaim the pooled-entry lifecycle bug
+// (engine.Striped.SetUnsafeEagerReclaim). Call before traffic flows.
+func (m *MTStriped) SetUnsafe(publish, eagerReclaim bool) {
+	m.unsafePublish = publish
+	m.sched.SetUnsafeEagerReclaim(eagerReclaim)
+}

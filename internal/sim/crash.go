@@ -254,7 +254,7 @@ func RunCrashPoint(cfg CrashPointConfig) *CrashPointReport {
 		} else {
 			rep.violate("restart scheduler lacks DurableCounters")
 		}
-		if mt, ok := traced.(interface{ Core() *engine.Scheduler }); ok {
+		if mt, ok := traced.(interface{ Core() *engine.Scheduler }); ok && mt.Core() != nil {
 			k = mt.Core().K()
 		} else if kk, ok := traced.(interface{ K() int }); ok {
 			// Striped schedulers have no coarse core; they expose K directly.

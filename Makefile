@@ -59,7 +59,8 @@ benchmark-smoke:
 # adapters or a baseline scheduler.
 flake:
 	$(GO) test -count=10 ./internal/sim ./internal/txn ./internal/sched ./internal/interval \
-		./internal/history ./internal/dmt ./internal/tsto ./internal/sgt ./internal/nested
+		./internal/history ./internal/dmt ./internal/tsto ./internal/sgt ./internal/nested \
+		./internal/engine
 
 # The suite again in random test order: catches inter-test state leaks
 # (shared package-level state, test-order-dependent fixtures).
@@ -88,7 +89,8 @@ bench-smoke:
 # bench/alloc_budget.json. The steady-state engine/adapter benches are
 # budgeted at exactly 0 allocs/op; the whole-run cells get headroom for
 # setup noise; BenchmarkRuntimeExec holds txn.Runtime.ExecCtx to 0 on
-# the commit-only case and to the one *AbortError per abort otherwise.
+# MT(7)/striped (which a serial run never aborts) and composite to what
+# its sub-engines allocate.
 # A budget pattern matching no benchmark also fails, so a renamed
 # benchmark cannot silently escape its gate.
 alloc-gate:

@@ -401,43 +401,60 @@ func BenchmarkRollback(b *testing.B) {
 
 // E15b: partial rollback (Section VI-C-1) — operations executed per
 // committed transaction with full restarts versus mid-transaction
-// resumes, on a contended-tail workload.
+// resumes, on a contended-tail workload. Four workers run the specs
+// concurrently, with the runtime's usual 10µs backoff: run one at a
+// time, no transaction ever has a successor when its step is refused,
+// so StarvationAvoidance raises it in place, nothing aborts and both
+// arms replay nothing.
 func BenchmarkPartialRollback(b *testing.B) {
+	const workers = 4
 	for _, partial := range []bool{false, true} {
 		name := "full-restart"
 		if partial {
 			name = "partial-resume"
 		}
 		b.Run(name, func(b *testing.B) {
-			var ops, txns int64
+			var ops, txns atomic.Int64
+			specs := workload.Config{
+				Txns: 200, OpsPerTxn: 5, Items: 8, ReadFraction: 0.8, Seed: 67,
+			}.Generate()
 			for i := 0; i < b.N; i++ {
 				st := storage.New()
 				m := sched.NewMT(st, sched.MTOptions{
 					Core: engine.Options{K: 9, StarvationAvoidance: true}})
 				rt := &txn.Runtime{
-					Sched: m, MaxAttempts: 100,
+					Sched: m, MaxAttempts: 100, Backoff: 10 * time.Microsecond,
 					PartialRollback: partial, Store: st,
 				}
-				specs := workload.Config{
-					Txns: 50, OpsPerTxn: 5, Items: 8, ReadFraction: 0.8, Seed: 67,
-				}.Generate()
-				for _, s := range specs {
-					res := rt.Exec(s)
-					ops += int64(res.OpsExecuted)
-					txns++
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for j := w; j < len(specs); j += workers {
+							res := rt.Exec(specs[j])
+							ops.Add(int64(res.OpsExecuted))
+							txns.Add(1)
+						}
+					}(w)
 				}
+				wg.Wait()
 			}
-			b.ReportMetric(float64(ops)/float64(txns), "ops/txn")
+			b.ReportMetric(float64(ops.Load())/float64(txns.Load()), "ops/txn")
 		})
 	}
 }
 
 // E7: the Fig. 5 starvation fix — retries needed for the starving
-// transaction with and without the flush-and-reseed rule.
+// transaction with and without the flush-and-reseed rule. R4[z] is
+// ordered after T3, so the fix takes its abort path (without a
+// successor T3 is raised in place and needs no retry at all), while T3
+// stays RT(y) and keeps its vector across the restarts the plain
+// protocol makes.
 func BenchmarkStarvationFix(b *testing.B) {
 	run := func(fix bool) float64 {
 		s := engine.NewScheduler(engine.Options{K: 2, StarvationAvoidance: fix})
-		s.AcceptLog(oplog.MustParse("W1[x] W2[x] R3[y]"))
+		s.AcceptLog(oplog.MustParse("W1[x] W2[x] R3[y] R3[z] R4[z]"))
 		attempts := 0
 		for ; attempts < 10; attempts++ {
 			d := s.Step(oplog.W(3, "x"))
@@ -933,9 +950,11 @@ func BenchmarkStripedScheduler(b *testing.B) {
 // runtime's whole path — jitter source, pooled read scratch, Spec.Value,
 // Result.Reads — must come to 0 allocs/op. uniform (70 %-read 4-op mix
 // over 1024 items, immediate writes) and bank (transfers over 16
-// accounts, deferred writes) abort 0.4-0.6 times per commit even in
-// serial execution (attempts/txn), and each abort costs its
-// *sched.AbortError and nothing else. composite runs the uniform mix on
+// accounts, deferred writes) commit first try too: in a serial run
+// nothing is ordered after the running transaction, so the step the
+// relative encoding would reject is raised in place instead
+// (StarvationAvoidance), and they are held to 0 allocs/op and exactly
+// one attempt per transaction as well. composite runs the uniform mix on
 // MT(7⁺): the lifecycle around it is the same allocation-free adapter,
 // so its budget is what composite.Scheduler's seven string-keyed
 // sub-engines and the oplog.Op per step allocate — there so the shared
@@ -987,15 +1006,17 @@ func BenchmarkRuntimeExec(b *testing.B) {
 		b.ReportMetric(perTxn, "attempts/txn")
 		return perTxn
 	}
-	b.Run("commit", func(b *testing.B) {
-		pool := []txn.Spec{workload.Transfer(1, items[0], items[1], 1)}
-		if got := run(b, pool, mtStriped(true)); got != 1 {
-			b.Fatalf("commit-only case retried: %.3f attempts/txn", got)
+	once := func(b *testing.B, pool []txn.Spec, build func(*storage.Store) sched.Scheduler) {
+		if got := run(b, pool, build); got != 1 {
+			b.Fatalf("serial run retried: %.3f attempts/txn", got)
 		}
+	}
+	b.Run("commit", func(b *testing.B) {
+		once(b, []txn.Spec{workload.Transfer(1, items[0], items[1], 1)}, mtStriped(true))
 	})
-	b.Run("uniform", func(b *testing.B) { run(b, uniform, mtStriped(false)) })
+	b.Run("uniform", func(b *testing.B) { once(b, uniform, mtStriped(false)) })
 	b.Run("bank", func(b *testing.B) {
-		run(b, workload.Transfers(4096, items[:16], 1, 7), mtStriped(true))
+		once(b, workload.Transfers(4096, items[:16], 1, 7), mtStriped(true))
 	})
 	b.Run("composite", func(b *testing.B) {
 		run(b, uniform, func(store *storage.Store) sched.Scheduler {

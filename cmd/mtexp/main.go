@@ -278,14 +278,22 @@ func runFig5() {
 		plain.Abort(3, d.Blocker)
 		plain.Step(oplog.R(3, "y"))
 	}
+	// The paper's fix restarts T3. It needs that only once a later step
+	// was ordered after T3 (here R4[y]); before that, T3 is raised in
+	// place to the vector the restart would get.
 	fixed := engine.NewScheduler(engine.Options{K: 2, StarvationAvoidance: true})
-	fixed.AcceptLog(oplog.MustParse("W1[x] W2[x] R3[y]"))
+	fixed.AcceptLog(oplog.MustParse("W1[x] W2[x] R3[y] R4[y]"))
 	d := fixed.Step(oplog.W(3, "x"))
-	fmt.Printf("  with fix: first W3[x] %s; flushing TS(3)\n", d.Verdict)
+	fmt.Printf("  with fix, after R4[y]: first W3[x] %s; flushing TS(3)\n", d.Verdict)
 	fixed.Abort(3, d.Blocker)
 	fmt.Printf("  TS(3) reseeded to %s\n", fixed.Vector(3))
 	ok, _ := fixed.AcceptLog(oplog.MustParse("R3[y] W3[x]"))
 	fmt.Printf("  restart commits: %v\n", ok)
+	raised := engine.NewScheduler(engine.Options{K: 2, StarvationAvoidance: true})
+	raised.AcceptLog(oplog.MustParse("W1[x] W2[x] R3[y]"))
+	d = raised.Step(oplog.W(3, "x"))
+	fmt.Printf("  with fix, nothing ordered after T3: W3[x] %s, TS(3) raised in place to %s\n",
+		d.Verdict, raised.Vector(3))
 }
 
 func runFig6() {

@@ -140,8 +140,10 @@ func TestRuntimeIntegration(t *testing.T) {
 
 func TestAbortErrorPropagation(t *testing.T) {
 	st := storage.New()
-	a := New(st, Options{InitialK: 2, Core: engine.Options{StarvationAvoidance: true}})
-	// Fig. 5 shape through the adaptive wrapper.
+	// Fig. 5 shape through the adaptive wrapper. StarvationAvoidance
+	// stays off: with it, T3 (nothing ordered after it) is raised in
+	// place and its write is accepted.
+	a := New(st, Options{InitialK: 2})
 	a.Begin(1)
 	a.Write(1, "x", 1)
 	a.Commit(1)

@@ -32,7 +32,11 @@ type Options struct {
 	// run side by side.
 	K int
 	// Sub carries per-subprotocol options applied to every MT(h)
-	// (ThomasWriteRule, StarvationAvoidance, ...). Sub.K is ignored.
+	// (ThomasWriteRule, RelaxedReadCheck, ...). Sub.K is ignored, and so
+	// is Sub.StarvationAvoidance: its in-place raise would let MT(h)
+	// accept logs outside TO(h) and keep a stopped subprotocol alive, and
+	// its abort reseed never fires here, since a composite reject names
+	// no blocker.
 	Sub engine.Options
 }
 
@@ -73,6 +77,7 @@ func NewSchedulerInterned(opts Options, names *intern.Table) *Scheduler {
 	for h := 1; h <= opts.K; h++ {
 		sub := opts.Sub
 		sub.K = h
+		sub.StarvationAvoidance = false
 		s.subs = append(s.subs, engine.NewSchedulerInterned(sub, names))
 		s.alive[h-1] = true
 	}

@@ -19,6 +19,9 @@ type Holders struct {
 	items []holderPair // by item id
 	pins  map[int]int  // #slots for which txn is RT or WT
 	done  map[int]bool // finished transactions awaiting unpin
+	// OnDrop, when non-nil, observes every reclaimed vector, so a caller
+	// can drop what it keeps per vector alongside it.
+	OnDrop func(txn int)
 }
 
 // holderPair is RT(x) and WT(x); 0 is the virtual transaction T_0.
@@ -84,6 +87,9 @@ func (h *Holders) maybeReclaim(txn int) {
 		h.tab.Drop(txn)
 		delete(h.pins, txn)
 		delete(h.done, txn)
+		if h.OnDrop != nil {
+			h.OnDrop(txn)
+		}
 	}
 }
 

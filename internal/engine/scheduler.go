@@ -26,9 +26,14 @@ type Options struct {
 	// ThomasWriteRule accepts-and-ignores obsolete writes when
 	// TS(RT(x)) < TS(i) < TS(WT(x)) instead of aborting (Section III-D-6c).
 	ThomasWriteRule bool
-	// StarvationAvoidance applies the Section III-D-4 fix on Abort: the
-	// vector is flushed and its first element seeded to TS(blocker,1)+1 so
-	// the restarted incarnation runs after its blocker.
+	// StarvationAvoidance applies the Section III-D-4 fix, in two places.
+	// On Abort the vector is flushed and its first element seeded past
+	// TS(blocker,1) (and the column-1 clock), so the restarted incarnation
+	// runs after its blocker. And in place: a step that would be rejected
+	// (or take the line-9 slot-in or the Thomas rule) from a transaction
+	// that no accepted step has been ordered after yet gets the same
+	// reseed and is re-run instead — the restart without the abort, safe
+	// because such a transaction is a sink of the conflict graph.
 	StarvationAvoidance bool
 	// RelaxedReadCheck replaces the line-9 condition TS(WT(x)) < TS(i)
 	// with Set(WT(x), i), allowing higher concurrency (Section III-D-2
@@ -70,6 +75,10 @@ type Scheduler struct {
 	holders *Holders // RT(x)/WT(x) and vector reclamation
 	access  []int    // per-item access counts (hot-item detection)
 	hot     []bool   // Options.HotItems by id
+	// succ: some accepted step was ordered after txn since its vector
+	// was last flushed (the raise's precondition; StarvationAvoidance
+	// only, dropped with the vector).
+	succ map[int]bool
 }
 
 // NewScheduler returns an initialized MT(k) scheduler with an item-intern
@@ -92,6 +101,10 @@ func NewSchedulerInterned(opts Options, names *intern.Table) *Scheduler {
 		hot:   hotIDs(opts.HotItems, names),
 	}
 	s.holders = NewHolders(s.tab)
+	if opts.StarvationAvoidance {
+		s.succ = make(map[int]bool)
+		s.holders.OnDrop = func(txn int) { delete(s.succ, txn) }
+	}
 	s.tab.Monotonic = opts.MonotonicEncoding
 	if opts.Trace != nil {
 		s.tab.OnAssign = func(id, pos int, val int64) {
@@ -253,33 +266,82 @@ func (s *Scheduler) stepItem(i int, id int32, read bool) (core.Verdict, int) {
 		j = wt
 	}
 	if read {
-		if s.setDep(j, i, shift) {
+		if s.setDep(j, i, shift) || s.raise(j, i, shift) {
+			// Both holders are now ordered before i: the smaller one only
+			// through the vector order, which a raise of it would break
+			// just the same. Flag them before the repin, which may
+			// reclaim the old holder.
+			s.follow(rt, i)
+			s.follow(wt, i)
 			s.holders.SetRT(id, i)
 			return core.Accept, 0
 		}
 		// Line 9: the read may slot between the most recent write and the
-		// most recent read without becoming the most recent reader.
+		// most recent read without becoming the most recent reader: after
+		// WT(x), before RT(x). Under StarvationAvoidance only a flagged i
+		// gets here (an unflagged one was raised), so i being ordered
+		// before RT(x) needs no flag of its own; the same holds for the
+		// Thomas rule below, which orders i before WT(x).
 		if j == rt {
 			if s.opts.RelaxedReadCheck {
 				if s.setDep(wt, i, shift) {
+					s.follow(wt, i)
 					return core.Accept, 0
 				}
 			} else if s.less(wt, i) {
+				s.follow(wt, i)
 				return core.Accept, 0
 			}
 		}
 		return core.Reject, j
 	}
-	if s.setDep(j, i, shift) {
+	if s.setDep(j, i, shift) || s.raise(j, i, shift) {
+		s.follow(rt, i)
+		s.follow(wt, i)
 		s.holders.SetWT(id, i)
 		return core.Accept, 0
 	}
 	// Thomas write rule: if TS(RT(x)) < TS(i) < TS(WT(x)), the write is
 	// obsolete and can be ignored.
 	if s.opts.ThomasWriteRule && j == wt && s.less(i, wt) && s.setDep(rt, i, shift) {
+		s.follow(rt, i)
 		return core.AcceptIgnored, 0
 	}
 	return core.Reject, j
+}
+
+// follow records, under StarvationAvoidance, that an accepted step of i
+// was ordered after holder h. T_0 needs no record: it is never raised.
+func (s *Scheduler) follow(h, i int) {
+	if s.opts.StarvationAvoidance && h != i && h != 0 {
+		s.succ[h] = true
+	}
+}
+
+// raise is the III-D-4 restart without the abort: Set(j, i) failed, but
+// no accepted step was ordered after TS(i) yet — i is a sink of the
+// conflict graph — so TS(i) is reseeded past j exactly as Abort's
+// starvation fix would do it, and Set(j, i) runs again. Every relation
+// TS(w) < TS(i) survives the reseed, and none of the form TS(i) < TS(w)
+// existed. Set failing means TS(j) > TS(i) is established, so TS(j,1) is
+// defined and the seed exceeds it: the second Set holds.
+func (s *Scheduler) raise(j, i int, shift bool) bool {
+	if !s.opts.StarvationAvoidance || s.succ[i] {
+		return false
+	}
+	s.reseed(i, s.tab.Vector(j).Elem(1).V)
+	return s.setDep(j, i, shift)
+}
+
+// reseed flushes TS(i) and seeds its first element past floor (the
+// blocker's first element) and past the column-1 clock. The flushed
+// vector has no successor.
+func (s *Scheduler) reseed(i int, floor int64) {
+	seed := s.tab.ReseedFirst(i, floor)
+	delete(s.succ, i)
+	if s.opts.Trace != nil {
+		s.opts.Trace(core.Event{Kind: core.EvFlush, Txn: i, Val: seed})
+	}
 }
 
 // Commit marks transaction i finished; its vector storage is reclaimed as
@@ -307,10 +369,7 @@ func (s *Scheduler) Abort(i, blocker int) {
 			// dominate the old vector, so established w < TS(i)
 			// relations survive. ReseedFirst keeps the counter column
 			// consistent when k = 1.
-			seed := s.tab.ReseedFirst(i, b.V)
-			if s.opts.Trace != nil {
-				s.opts.Trace(core.Event{Kind: core.EvFlush, Txn: i, Val: seed})
-			}
+			s.reseed(i, b.V)
 			// The seeded vector must survive for the restart.
 			return
 		}

@@ -196,7 +196,9 @@ func TestStarvationWithoutFix(t *testing.T) {
 
 func TestStarvationFix(t *testing.T) {
 	s := NewScheduler(Options{K: 2, StarvationAvoidance: true})
-	mustAccept(t, s, "W1[x] W2[x] R3[y]")
+	// R4[y] is ordered after T3's read, so T3 has a successor and cannot
+	// be raised in place: W3[x] takes the abort path.
+	mustAccept(t, s, "W1[x] W2[x] R3[y] R4[y]")
 	d := s.Step(oplog.W(3, "x"))
 	if d.Verdict != Reject || d.Blocker != 2 {
 		t.Fatalf("first W3[x]: got %+v", d)

@@ -26,10 +26,10 @@ import (
 //     that conflict on an item — reading/updating RT(x), WT(x) and the
 //     access counts — with multi-item acquisitions (a deferred commit's
 //     validate-and-publish) taking stripes in ascending order;
-//  2. a per-transaction lock guards each timestamp vector and its
-//     pin/done lifecycle bits; every step locks the (at most three)
-//     transactions it touches — RT(x), WT(x) and the operating
-//     transaction — in ascending id order;
+//  2. a per-transaction lock guards each timestamp vector, its
+//     pin/done lifecycle bits and its successor flag; every step locks
+//     the (at most three) transactions it touches — RT(x), WT(x) and
+//     the operating transaction — in ascending id order;
 //  3. a counter lock guards the lcount/ucount pair and the per-column
 //     clock, taken last, for the duration of a kernel encode.
 //
@@ -139,6 +139,9 @@ type txnEntry struct {
 	vec  *core.Vector
 	pins int
 	done bool
+	// succ: some accepted step was ordered after this vector since it was
+	// last flushed (the raise's precondition; StarvationAvoidance only).
+	succ bool
 }
 
 // lockedTxns is the fixed-capacity result of lockTxns: at most three
@@ -297,6 +300,7 @@ func (s *Striped) create(id int) *txnEntry {
 	e.gen++
 	e.dead.Store(false)
 	e.done = false
+	e.succ = false
 	e.pins = 0
 	e.vec.Reset()
 	e.mu.Unlock()
@@ -467,34 +471,65 @@ func (s *Striped) stepItem(i int, id int32, read bool) (core.Verdict, int) {
 	}
 	shift := s.hotID(st, li, id)
 	if read {
-		if s.setDep(j, i, ej, ei, shift) {
+		if s.setDep(j, i, ej, ei, shift) || s.raise(j, i, ej, ei, shift) {
+			// Both holders are now ordered before i (see
+			// Scheduler.stepItem); flag them before the repin, which
+			// may reclaim the old holder.
+			s.follow(&lt, rt, i)
+			s.follow(&lt, wt, i)
 			s.repin(st.rt, li, i, &lt)
 			return core.Accept, 0
 		}
 		// Line 9: the read may slot between the most recent write and
-		// the most recent read without becoming the most recent reader.
+		// the most recent read without becoming the most recent reader:
+		// after WT(x) only. Only a flagged i gets here under
+		// StarvationAvoidance (see Scheduler.stepItem).
 		if j == rt {
 			if s.opts.RelaxedReadCheck {
 				if s.setDep(wt, i, lt.get(wt), ei, shift) {
+					s.follow(&lt, wt, i)
 					return core.Accept, 0
 				}
 			} else if wt != i && s.vecLess(lt.get(wt).vec, ei.vec) {
+				s.follow(&lt, wt, i)
 				return core.Accept, 0
 			}
 		}
 		return core.Reject, j
 	}
-	if s.setDep(j, i, ej, ei, shift) {
+	if s.setDep(j, i, ej, ei, shift) || s.raise(j, i, ej, ei, shift) {
+		s.follow(&lt, rt, i)
+		s.follow(&lt, wt, i)
 		s.repin(st.wt, li, i, &lt)
 		return core.Accept, 0
 	}
 	// Thomas write rule: if TS(RT(x)) < TS(i) < TS(WT(x)), the write is
-	// obsolete and can be ignored.
+	// obsolete and can be ignored: after RT(x) only.
 	if s.opts.ThomasWriteRule && j == wt && i != wt && s.vecLess(ei.vec, lt.get(wt).vec) &&
 		s.setDep(rt, i, lt.get(rt), ei, shift) {
+		s.follow(&lt, rt, i)
 		return core.AcceptIgnored, 0
 	}
 	return core.Reject, j
+}
+
+// follow is Scheduler.follow over the locked entries: under
+// StarvationAvoidance, an accepted step of i was ordered after holder h.
+func (s *Striped) follow(lt *lockedTxns, h, i int) {
+	if s.opts.StarvationAvoidance && h != i && h != 0 {
+		lt.get(h).succ = true
+	}
+}
+
+// raise is Scheduler.raise over the locked entries: the III-D-4 reseed
+// of a transaction no accepted step was ordered after, in place of the
+// rejection, then Set(j, i) again.
+func (s *Striped) raise(j, i int, ej, ei *txnEntry, shift bool) bool {
+	if !s.opts.StarvationAvoidance || ei.succ {
+		return false
+	}
+	s.reseed(i, ei, ej.vec.Elem(1).V)
+	return s.setDep(j, i, ej, ei, shift)
 }
 
 // vecLess reports a < b established, mirroring VectorTable.Less for
@@ -674,11 +709,8 @@ func (s *Striped) Abort(i, blocker int) {
 	if s.opts.StarvationAvoidance && blocker != 0 {
 		s.lockTxns(&lt, [3]int{i, blocker, 0}, 2)
 		if b := lt.get(blocker).vec.Elem(1); b.Defined {
-			seed := s.reseedFirst(i, lt.get(i), b.V)
+			s.reseed(i, lt.get(i), b.V)
 			lt.unlock()
-			if s.opts.Trace != nil {
-				s.opts.Trace(core.Event{Kind: core.EvFlush, Txn: i, Val: seed})
-			}
 			return
 		}
 	} else {
@@ -690,10 +722,11 @@ func (s *Striped) Abort(i, blocker int) {
 	lt.unlock()
 }
 
-// reseedFirst mirrors VectorTable.ReseedFirst under the entry lock.
-func (s *Striped) reseedFirst(i int, e *txnEntry, floor int64) int64 {
+// reseed is the starvation reseed of i's (locked) vector past floor, the
+// blocker's first element: VectorTable.ReseedFirst under the entry lock,
+// as Scheduler.reseed does it. The flushed vector has no successor.
+func (s *Striped) reseed(i int, e *txnEntry, floor int64) {
 	s.cmu.Lock()
-	defer s.cmu.Unlock()
 	seed := floor + 1
 	if c := s.clock[0] + 1; c > seed {
 		seed = c
@@ -703,7 +736,11 @@ func (s *Striped) reseedFirst(i int, e *txnEntry, floor int64) int64 {
 	}
 	e.vec.Reset()
 	s.assign(i, e, 1, seed)
-	return seed
+	s.cmu.Unlock()
+	e.succ = false
+	if s.opts.Trace != nil {
+		s.opts.Trace(core.Event{Kind: core.EvFlush, Txn: i, Val: seed})
+	}
 }
 
 // wtOf returns WT for an interned item id, 0 when the item has no

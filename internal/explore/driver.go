@@ -79,13 +79,22 @@ func NamedWorkload(name string) (Workload, bool) {
 			{ID: 2, Ops: []txn.Op{txn.R("b"), txn.W("c")}},
 			{ID: 3, Ops: []txn.Op{txn.R("c"), txn.W("a")}},
 		}}, true
+	case "transfer-3x3":
+		// Three transfers around a ring of accounts, each reading both
+		// sides before writing them: the shape on which flagging only the
+		// larger holder lets an in-place raise commit a cycle.
+		return Workload{Name: name, MaxRetries: 3, Txns: []TxnSpec{
+			{ID: 1, Ops: []txn.Op{txn.R("a"), txn.R("b"), txn.W("a"), txn.W("b")}},
+			{ID: 2, Ops: []txn.Op{txn.R("b"), txn.R("c"), txn.W("b"), txn.W("c")}},
+			{ID: 3, Ops: []txn.Op{txn.R("c"), txn.R("a"), txn.W("c"), txn.W("a")}},
+		}}, true
 	}
 	return Workload{}, false
 }
 
 // WorkloadNames lists the registry (CLI help, campaign sweeps).
 func WorkloadNames() []string {
-	return []string{"disjoint-2x2", "conflict-2x2", "ww-2x1", "rw-2x1", "mix-3x2", "mix-3x3"}
+	return []string{"disjoint-2x2", "conflict-2x2", "ww-2x1", "rw-2x1", "mix-3x2", "mix-3x3", "transfer-3x3"}
 }
 
 // Config selects and parameterizes the system under test.
@@ -100,7 +109,8 @@ type Config struct {
 	Ks []int
 	// DeferWrites buffers writes to commit (mt / mt-striped).
 	DeferWrites bool
-	// StarvationAvoidance enables the III-D-4 reseed.
+	// StarvationAvoidance enables the III-D-4 reseed on abort and the
+	// raise in place (mt / mt-striped).
 	StarvationAvoidance bool
 	// UnsafePublish injects the seeded publish-inversion bug
 	// (mt-striped, deferred).

@@ -30,7 +30,7 @@ var (
 
 // pctCombos are the (config, workload) pairs the PCT sweep covers: every
 // scheduler family, both write modes where the family distinguishes
-// them.
+// them, and MT(k) with the starvation fix's raise in place in both.
 func pctCombos() []CampaignOptions {
 	var out []CampaignOptions
 	families := []Config{
@@ -42,8 +42,11 @@ func pctCombos() []CampaignOptions {
 		{Family: "composite"},
 		{Family: "dmt"},
 		{Family: "nested"},
+		{Family: "mt", StarvationAvoidance: true},
+		{Family: "mt", DeferWrites: true, StarvationAvoidance: true},
+		{Family: "mt-striped", StarvationAvoidance: true},
 	}
-	workloads := []string{"conflict-2x2", "ww-2x1", "rw-2x1", "mix-3x2", "mix-3x3"}
+	workloads := []string{"conflict-2x2", "ww-2x1", "rw-2x1", "mix-3x2", "mix-3x3", "transfer-3x3"}
 	for _, cfg := range families {
 		for _, wn := range workloads {
 			w, ok := NamedWorkload(wn)

@@ -25,6 +25,7 @@ type Composite struct {
 
 // NewComposite returns an MT(k⁺) runtime scheduler on the production
 // path: item latches let storage accesses on disjoint items overlap.
+// sub.StarvationAvoidance is ignored (see composite.Options.Sub).
 func NewComposite(store *storage.Store, k int, sub engine.Options) *Composite {
 	p := newEpochComposite(k, sub, store.Interner())
 	return &Composite{newSerialAdapter(store, compositeFamily(k, ""), p), p}

@@ -306,6 +306,12 @@ func TestStripedPartialRestartParity(t *testing.T) {
 		if _, err := m.Read(3, "y"); err != nil {
 			return false, err
 		}
+		// T4's read is ordered after T3's, so T3 cannot be raised in
+		// place and its write is rejected.
+		m.Begin(4)
+		if _, err := m.Read(4, "y"); err != nil {
+			return false, err
+		}
 		if err := m.Write(3, "x", 3); !errors.Is(err, sched.ErrAbort) {
 			return false, fmt.Errorf("setup: want write reject, got %v", err)
 		}

@@ -150,6 +150,12 @@ func TestMTStarvationFixAcrossRetries(t *testing.T) {
 	if _, err := m.Read(3, "y"); err != nil {
 		t.Fatal(err)
 	}
+	// T4's read is ordered after T3's, so T3 cannot be raised in place
+	// and its write takes the abort path.
+	m.Begin(4)
+	if _, err := m.Read(4, "y"); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Write(3, "x", 3); !errors.Is(err, ErrAbort) {
 		t.Fatalf("setup: want abort, got %v", err)
 	}

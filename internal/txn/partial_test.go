@@ -9,7 +9,7 @@ import (
 )
 
 // buildBlockedT3 prepares the Fig. 5 shape on a fresh scheduler: T1 and
-// T2 write x, T3 has read y and will be rejected writing x.
+// T2 write x; T3 will read y and meet T2's larger timestamp writing x.
 func buildBlockedT3(t *testing.T, st *storage.Store) *sched.MT {
 	t.Helper()
 	m := sched.NewMT(st, sched.MTOptions{Core: engine.Options{K: 2, StarvationAvoidance: true}})
@@ -25,11 +25,33 @@ func buildBlockedT3(t *testing.T, st *storage.Store) *sched.MT {
 	return m
 }
 
+// readAfterOnce returns a Value function that, the first time it is
+// asked, has transaction 4 read item and commit: an accepted step
+// ordered after T3's own read of item, so T3 has a successor when its
+// write meets a larger timestamp — it is rejected, not raised in place.
+// Every call returns v.
+func readAfterOnce(t *testing.T, m *sched.MT, item string, v int64) func(string, map[string]int64) int64 {
+	done := false
+	return func(string, map[string]int64) int64 {
+		if !done {
+			done = true
+			m.Begin(4)
+			if _, err := m.Read(4, item); err != nil {
+				t.Errorf("T4 read %s: %v", item, err)
+			}
+			if err := m.Commit(4); err != nil {
+				t.Errorf("T4 commit: %v", err)
+			}
+		}
+		return v
+	}
+}
+
 func TestPartialRollbackResumesMidTransaction(t *testing.T) {
 	st := storage.New()
 	m := buildBlockedT3(t, st)
 	rt := &Runtime{Sched: m, PartialRollback: true, Store: st, MaxAttempts: 10}
-	res := rt.Exec(Spec{ID: 3, Ops: []Op{R("y"), W("x")}})
+	res := rt.Exec(Spec{ID: 3, Ops: []Op{R("y"), W("x")}, Value: readAfterOnce(t, m, "y", 3)})
 	if !res.Committed {
 		t.Fatalf("not committed: %+v", res)
 	}
@@ -87,9 +109,14 @@ func TestPartialRollbackDisabledWithoutStore(t *testing.T) {
 	st := storage.New()
 	m := buildBlockedT3(t, st)
 	rt := &Runtime{Sched: m, PartialRollback: true, MaxAttempts: 10} // no Store
-	res := rt.Exec(Spec{ID: 3, Ops: []Op{R("y"), W("x")}})
+	res := rt.Exec(Spec{ID: 3, Ops: []Op{R("y"), W("x")}, Value: readAfterOnce(t, m, "y", 3)})
 	if !res.Committed || res.PartialResumes != 0 {
 		t.Fatalf("res = %+v", res)
+	}
+	// The first attempt must really have aborted, or the fallback to a
+	// full restart was never exercised: 2 ops, then both again.
+	if res.Attempts != 2 || res.OpsExecuted != 4 {
+		t.Fatalf("Attempts = %d, OpsExecuted = %d, want 2 and 4", res.Attempts, res.OpsExecuted)
 	}
 }
 
@@ -128,7 +155,7 @@ func TestPartialRollbackReducesWastedOps(t *testing.T) {
 		}
 		rt := &Runtime{Sched: m, PartialRollback: partial, Store: st, MaxAttempts: 20}
 		ops := []Op{R("a"), R("b"), R("c"), R("d"), W("tail")}
-		res := rt.Exec(Spec{ID: 3, Ops: ops})
+		res := rt.Exec(Spec{ID: 3, Ops: ops, Value: readAfterOnce(t, m, "a", 3)})
 		if !res.Committed {
 			return 1 << 30
 		}

@@ -181,7 +181,7 @@ func TestSpineGrowthIsLinear(t *testing.T) {
 	// fresh copy; lookups must still find every entry afterwards.
 	h := NewStriped(Options{K: 2})
 	for _, id := range []int{5 << txnChunkBits, 1 << txnChunkBits, 3 << txnChunkBits, 0, 9 << txnChunkBits} {
-		h.entry(id)
+		h.create(id)
 	}
 	for _, id := range []int{5 << txnChunkBits, 1 << txnChunkBits, 3 << txnChunkBits, 9 << txnChunkBits} {
 		if e := h.lookup(id); e == nil || e.id != id {

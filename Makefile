@@ -68,12 +68,12 @@ shuffle:
 	$(GO) test -shuffle=on ./...
 
 # The concurrency-sensitive packages under the race detector: the
-# striped scheduler hot path (latch table, striped adapters, sharded
-# store), the fault injector and the DMT(k) degraded-mode machinery
+# striped scheduler hot path (the striped engine, latch table, striped
+# adapters, sharded store), the fault injector and the DMT(k) degraded-mode machinery
 # (crash/recovery racing allocations and counter sync), plus the
 # runtime, the group-commit log writer and the harness that drive them.
 race:
-	$(GO) test -race ./internal/core/... ./internal/sched/... ./internal/storage/... ./internal/lock/... ./internal/dmt/... ./internal/fault/... ./internal/txn/... ./internal/wal/... ./internal/sim/... ./internal/admit/... ./internal/explore/...
+	$(GO) test -race ./internal/core/... ./internal/engine/... ./internal/sched/... ./internal/storage/... ./internal/lock/... ./internal/dmt/... ./internal/fault/... ./internal/txn/... ./internal/wal/... ./internal/sim/... ./internal/admit/... ./internal/explore/...
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=20x ./...

@@ -9,8 +9,11 @@ import (
 // AgingOptions tunes the starvation-freedom machinery.
 type AgingOptions struct {
 	// ElderAfter is the restart count at which a transaction becomes an
-	// elder: its retries stop sleeping and the admission barrier closes
-	// to new first attempts until it finishes (default 8).
+	// elder: the admission barrier closes to new first attempts, and the
+	// crisis gate parks every other transaction's retries, until it
+	// finishes (default 8). Its own retries keep their scale: the
+	// express lane's short sleep while it is the oldest live
+	// transaction (ExpressScale), the yield scale otherwise.
 	ElderAfter int
 	// YieldScale is the backoff multiplier a transaction pays when its
 	// blocker is older than it is (default 4). Asymmetric backoff is the

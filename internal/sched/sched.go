@@ -13,6 +13,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -21,6 +22,14 @@ import (
 var ErrAbort = errors.New("sched: transaction must abort")
 
 // AbortError wraps ErrAbort with diagnostic context.
+//
+// Abort and the engine adapters draw it from a pool, so a rejection
+// allocates nothing. txn.Runtime, the one consumer that reads a
+// rejection and drops it, hands it back with ReleaseAbortError once it
+// has read Blocker and BlockerFinished. Nothing else releases an
+// AbortError, and a released one must not be kept or read again: the
+// next rejection reuses it. Every other caller simply drops it. One
+// built by hand is never pooled, so releasing it does nothing.
 type AbortError struct {
 	Txn     int
 	Blocker int
@@ -37,6 +46,8 @@ type AbortError struct {
 	// the error, not in an optional scheduler interface, so a decorator
 	// around a Scheduler cannot hide it.
 	BlockerFinished bool
+	// pooled marks an error drawn from abortErrors and not yet released.
+	pooled bool
 }
 
 // Error implements error.
@@ -50,7 +61,7 @@ func (e *AbortError) Unwrap() error { return ErrAbort }
 // Abort builds an *AbortError whose blocker is in flight or of unknown
 // state (BlockerFinished false).
 func Abort(txn, blocker int, reason string) error {
-	return &AbortError{Txn: txn, Blocker: blocker, Reason: reason}
+	return pooledAbort(AbortError{Txn: txn, Blocker: blocker, Reason: reason})
 }
 
 // abortBy builds the *AbortError of a rejection against blocker, whose
@@ -58,7 +69,25 @@ func Abort(txn, blocker int, reason string) error {
 // guards it. Blocker 0 is the virtual initial transaction: it names
 // nobody, so its state stays unknown.
 func abortBy(txn, blocker int, live bool, reason string) error {
-	return &AbortError{Txn: txn, Blocker: blocker, Reason: reason, BlockerFinished: blocker != 0 && !live}
+	return pooledAbort(AbortError{Txn: txn, Blocker: blocker, Reason: reason, BlockerFinished: blocker != 0 && !live})
+}
+
+var abortErrors = sync.Pool{New: func() any { return new(AbortError) }}
+
+func pooledAbort(v AbortError) *AbortError {
+	e := abortErrors.Get().(*AbortError)
+	*e = v
+	e.pooled = true
+	return e
+}
+
+// ReleaseAbortError returns a rejection its reader is done with to the
+// pool Abort draws from. Only txn.Runtime calls it (see AbortError).
+func ReleaseAbortError(e *AbortError) {
+	if e.pooled {
+		e.pooled = false
+		abortErrors.Put(e)
+	}
 }
 
 // ErrUnavailable is returned by distributed schedulers when a site the

@@ -226,6 +226,41 @@ func TestExecCtxCommitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// alternator rejects every other Write with a pooled AbortError.
+type alternator struct{ n int }
+
+func (s *alternator) Name() string                    { return "alternator" }
+func (s *alternator) Begin(int)                       {}
+func (s *alternator) Abort(int)                       {}
+func (s *alternator) Commit(int) error                { return nil }
+func (s *alternator) Read(int, string) (int64, error) { return 0, nil }
+func (s *alternator) Write(txn int, _ string, _ int64) error {
+	if s.n++; s.n%2 == 1 {
+		return sched.Abort(txn, 7, "induced")
+	}
+	return nil
+}
+
+// A rejection allocates nothing: the runtime reads the pooled
+// AbortError, releases it, and the retry's rejection draws it again.
+func TestRejectionAllocatesNothing(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random and allocates on its own")
+	}
+	rt := &Runtime{Sched: &alternator{}, MaxAttempts: 10}
+	ctx := context.Background()
+	spec := Spec{ID: 1, Ops: []Op{W("x")}}
+	exec := func() {
+		if res := rt.ExecCtx(ctx, spec); !res.Committed || res.Attempts != 2 {
+			t.Fatalf("res = %+v", res)
+		}
+	}
+	exec() // fill the pool
+	if n := testing.AllocsPerRun(500, exec); n != 0 {
+		t.Fatalf("a reject-release-retry cycle allocates %.2f times", n)
+	}
+}
+
 // A read set larger than the inline capacity spills without losing
 // entries.
 func TestReadSetSpill(t *testing.T) {

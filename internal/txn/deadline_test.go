@@ -182,34 +182,37 @@ func TestAdmitShedsTyped(t *testing.T) {
 }
 
 // TestAgedTransactionCommits drives one transaction past the elder
-// threshold against a scheduler that aborts it N times, and checks the
-// elder's retries stop sleeping (the run finishes fast despite a huge
-// backoff base once promoted).
+// threshold against a scheduler that aborts it ten times. A lone
+// transaction is always the oldest live one, so every abort, before its
+// promotion and after, decides the express lane's scale (0.25): a short
+// jittered sleep, never a zero one, which would hot-loop against the
+// reseed-past-the-blocker rule (see admit.AgingOptions.ExpressScale).
+// The scales are read from the controller directly, so nothing sleeps;
+// the runtime run then checks the elder commits with no back-off base.
 func TestAgedTransactionCommits(t *testing.T) {
-	ctrl := admit.NewController(admit.Options{
-		Aging: admit.AgingOptions{ElderAfter: 3},
-	})
-	s := &abortNTimes{n: 10}
-	rt := &Runtime{
-		Sched: s,
-		Admit: ctrl,
-		// Backoff large enough that 10 un-aged retries would take
-		// far longer than the test timeout; the elder promotion after 3
-		// restarts must drop the remaining sleeps to zero.
-		Backoff: 200 * time.Millisecond,
+	opts := admit.Options{Aging: admit.AgingOptions{ElderAfter: 3}}
+	ctrl := admit.NewController(opts)
+	if err := ctrl.Admit(context.Background(), 1); err != nil {
+		t.Fatal(err)
 	}
-	start := time.Now()
+	for n := 1; n <= 10; n++ {
+		if scale := ctrl.OnAbort(1, 99); scale != 0.25 {
+			t.Fatalf("abort %d: scale %v, want the express lane's 0.25", n, scale)
+		}
+		want := int64(0)
+		if n >= 3 {
+			want = 1
+		}
+		if got := ctrl.Stats().Elders; got != want {
+			t.Fatalf("after abort %d: elders = %d, want %d", n, got, want)
+		}
+	}
+
+	ctrl = admit.NewController(opts)
+	rt := &Runtime{Sched: &abortNTimes{n: 10}, Admit: ctrl}
 	res := rt.Exec(Spec{ID: 1, Ops: []Op{W("x")}})
-	if !res.Committed {
+	if !res.Committed || res.Attempts != 11 {
 		t.Fatalf("res = %+v", res)
-	}
-	if res.Attempts != 11 {
-		t.Fatalf("attempts = %d", res.Attempts)
-	}
-	// 3 pre-elder sleeps of <= 200ms*2^n jitter each can cost ~2s in the
-	// worst case; 7 more at full exponential width would add up to ~60s.
-	if waited := time.Since(start); waited > 15*time.Second {
-		t.Fatalf("elder retries still sleeping (took %v)", waited)
 	}
 	if ctrl.Stats().Elders != 1 {
 		t.Fatalf("elders = %d", ctrl.Stats().Elders)

@@ -374,9 +374,16 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 		}
 		// A rejection from this repository's schedulers is a bare
 		// *sched.AbortError; only a foreign wrapper needs the chain walk.
+		// It is read once and handed back to its pool, so a rejection
+		// allocates nothing.
 		ae, rejected := out.err.(*sched.AbortError)
 		switch {
 		case rejected || errors.Is(out.err, sched.ErrAbort):
+			blocker, finished := 0, false
+			if rejected {
+				blocker, finished = ae.Blocker, ae.BlockerFinished
+				sched.ReleaseAbortError(ae)
+			}
 			conflicts++
 			resumeFrom = 0
 			if r.PartialRollback && r.Store != nil && out.failedAt > 0 {
@@ -396,12 +403,9 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 			// finished when it rejected us cannot change any more, and the
 			// restart already reseeded this transaction past it (Section
 			// III-D-4): retry at once.
-			blocker, wait := 0, r.Backoff
-			if rejected {
-				blocker = ae.Blocker
-				if ae.BlockerFinished {
-					wait = 0
-				}
+			wait := r.Backoff
+			if finished {
+				wait = 0
 			}
 			if wait > 0 {
 				waited++

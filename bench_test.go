@@ -399,52 +399,6 @@ func BenchmarkRollback(b *testing.B) {
 	}
 }
 
-// E15b: partial rollback (Section VI-C-1) — operations executed per
-// committed transaction with full restarts versus mid-transaction
-// resumes, on a contended-tail workload. Four workers run the specs
-// concurrently, with the runtime's usual 10µs backoff: run one at a
-// time, no transaction ever has a successor when its step is refused,
-// so StarvationAvoidance raises it in place, nothing aborts and both
-// arms replay nothing.
-func BenchmarkPartialRollback(b *testing.B) {
-	const workers = 4
-	for _, partial := range []bool{false, true} {
-		name := "full-restart"
-		if partial {
-			name = "partial-resume"
-		}
-		b.Run(name, func(b *testing.B) {
-			var ops, txns atomic.Int64
-			specs := workload.Config{
-				Txns: 200, OpsPerTxn: 5, Items: 8, ReadFraction: 0.8, Seed: 67,
-			}.Generate()
-			for i := 0; i < b.N; i++ {
-				st := storage.New()
-				m := sched.NewMT(st, sched.MTOptions{
-					Core: engine.Options{K: 9, StarvationAvoidance: true}})
-				rt := &txn.Runtime{
-					Sched: m, MaxAttempts: 100, Backoff: 10 * time.Microsecond,
-					PartialRollback: partial, Store: st,
-				}
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for j := w; j < len(specs); j += workers {
-							res := rt.Exec(specs[j])
-							ops.Add(int64(res.OpsExecuted))
-							txns.Add(1)
-						}
-					}(w)
-				}
-				wg.Wait()
-			}
-			b.ReportMetric(float64(ops.Load())/float64(txns.Load()), "ops/txn")
-		})
-	}
-}
-
 // E7: the Fig. 5 starvation fix — retries needed for the starving
 // transaction with and without the flush-and-reseed rule. R4[z] is
 // ordered after T3, so the fix takes its abort path (without a

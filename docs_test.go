@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -22,6 +24,7 @@ var (
 	docTarget = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
 	docBraces = regexp.MustCompile(`\{([^{}]*)\}`)
 	docSched  = regexp.MustCompile(`\bsched\.([A-Z]\w*)`)
+	docTest   = regexp.MustCompile(`\b((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)(\*?)`)
 )
 
 // schedNames parses internal/sched and returns its package-level names:
@@ -63,6 +66,55 @@ func schedNames(t *testing.T) map[string]bool {
 	return names
 }
 
+// testNames returns the name of every Test, Benchmark and Fuzz function
+// declared in a _test.go file anywhere in the tree.
+func testNames(t *testing.T) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && docTest.MatchString(fn.Name.Name) {
+				names[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// citesTest reports whether name (a prefix when prefix is set) names a
+// test function of the tree.
+func citesTest(tests map[string]bool, name string, prefix bool) bool {
+	if !prefix {
+		return tests[name]
+	}
+	for n := range tests {
+		if strings.HasPrefix(n, name) {
+			return true
+		}
+	}
+	return false
+}
+
 // expandBraces turns cmd/{a,b} into cmd/a and cmd/b.
 func expandBraces(s string) []string {
 	m := docBraces.FindStringSubmatchIndex(s)
@@ -79,8 +131,11 @@ func expandBraces(s string) []string {
 // TestDocsNameWhatExists is `make docs-check`: every code-formatted
 // `make <target>`, cmd/<name>, internal/<pkg> and bench/<file> in the
 // checked documents must name a Makefile target, directory or file of
-// this tree, and every code-formatted sched.<Exported> a package-level
-// name internal/sched declares. Prose ("make the ...") is not
+// this tree, every code-formatted sched.<Exported> a package-level
+// name internal/sched declares, and every code-formatted Test…,
+// Benchmark… or Fuzz… name (TestFoo*, or a name in a -run or -bench
+// pattern, meaning any name with that prefix) a test function declared
+// somewhere in the tree. Prose ("make the ...") is not
 // code-formatted and is not read; neither are patterns such as
 // bench/BENCH_<n>.json.
 func TestDocsNameWhatExists(t *testing.T) {
@@ -93,6 +148,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 		targets[m[1]] = true
 	}
 	declared := schedNames(t)
+	tests := testNames(t)
 	for _, doc := range checkedDocs {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -127,6 +183,15 @@ func TestDocsNameWhatExists(t *testing.T) {
 			for _, m := range docSched.FindAllStringSubmatchIndex(code, -1) {
 				if name := code[m[2]:m[3]]; !declared[name] {
 					stale(span[0]+m[0], "sched."+name+" is not declared in internal/sched")
+				}
+			}
+			// A go test -run/-bench pattern is unanchored: its names match
+			// by prefix too.
+			pattern := strings.Contains(code, "-run") || strings.Contains(code, "-bench")
+			for _, m := range docTest.FindAllStringSubmatchIndex(code, -1) {
+				name, prefix := code[m[2]:m[3]], pattern || m[5] > m[4]
+				if !citesTest(tests, name, prefix) {
+					stale(span[0]+m[2], name+code[m[4]:m[5]]+" names no test function in the tree")
 				}
 			}
 		}

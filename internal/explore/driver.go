@@ -356,7 +356,7 @@ func runOnce(o CampaignOptions) (*Execution, []record, *subjectState) {
 	})
 	d := &driver{ctl: ctl, subject: subject}
 	if o.Runtime != nil {
-		d.setupRuntime(o, subject, store)
+		d.setupRuntime(o, subject)
 	} else {
 		for _, spec := range o.Workload.Txns {
 			spec := spec
@@ -462,11 +462,10 @@ func (d *driver) runTxn(spec TxnSpec, maxRetries int) {
 // setupRuntime registers tasks that drive transactions through
 // txn.Runtime (livelock campaigns: the backoff-scale decision is the
 // behavior under test).
-func (d *driver) setupRuntime(o CampaignOptions, subject sched.Scheduler, store *storage.Store) {
+func (d *driver) setupRuntime(o CampaignOptions, subject sched.Scheduler) {
 	rm := o.Runtime
 	rt := &txn.Runtime{
 		Sched:       subject,
-		Store:       store,
 		MaxAttempts: rm.MaxAttempts,
 		Backoff:     rm.Backoff,
 	}

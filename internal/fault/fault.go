@@ -553,6 +553,15 @@ func (in *Injector) Send(from, to int) error {
 		delay = in.delayFor(seq)
 	}
 	hooks := in.hooks
+	if hooks.OnRecover == nil {
+		// Nothing to rebuild: the site is up as soon as this send's own
+		// fate is decided (the send still saw it down), so the sequence
+		// number it is up again at does not depend on goroutine timing.
+		for _, ev := range recovers {
+			in.down[ev.Site] = false
+		}
+		recovers = nil
+	}
 	in.mu.Unlock()
 
 	for _, ev := range crashes {
@@ -560,14 +569,12 @@ func (in *Injector) Send(from, to int) error {
 			hooks.OnCrash(ev.Site, ev.Drift)
 		}
 	}
-	// Scheduled recovery runs asynchronously: the goroutine in whose Send
-	// the event fired may hold cluster locks the recovery handler needs.
-	// The site stays down until the rebuild completes.
+	// A scheduled recovery hook runs asynchronously: the goroutine in
+	// whose Send the event fired may hold cluster locks the handler
+	// needs. The site stays down until the rebuild completes.
 	for _, ev := range recovers {
 		go func(site int) {
-			if hooks.OnRecover != nil {
-				hooks.OnRecover(site)
-			}
+			hooks.OnRecover(site)
 			in.markUp(site)
 		}(ev.Site)
 	}

@@ -61,6 +61,31 @@ func TestScheduleReproducibleSequentially(t *testing.T) {
 	}
 }
 
+// TestScheduledRecoverWithoutHookIsSynchronous pins when a scheduled
+// Recover takes effect when no OnRecover hook is registered: the send
+// that fires it still sees the site down, and the site is up as soon
+// as that send returns, with no goroutine left to finish the job.
+func TestScheduledRecoverWithoutHookIsSynchronous(t *testing.T) {
+	in := New(Plan{Name: "t", Events: []Event{
+		{At: 2, Kind: Crash, Site: 1},
+		{At: 4, Kind: Recover, Site: 1},
+	}}, 3, 1)
+	if err := in.Send(0, 1); err != nil {
+		t.Fatalf("seq 1: %v", err)
+	}
+	for seq := 2; seq <= 4; seq++ {
+		if err := in.Send(0, 1); !errors.Is(err, ErrSiteDown) {
+			t.Fatalf("seq %d: send to the crashed site: %v", seq, err)
+		}
+	}
+	if !in.SiteUp(1) {
+		t.Fatal("site still down once the send that fired its recovery returned")
+	}
+	if err := in.Send(0, 1); err != nil {
+		t.Fatalf("seq 5: send to the recovered site: %v", err)
+	}
+}
+
 func TestCrashRejectsTraffic(t *testing.T) {
 	in := New(Plan{Name: "t"}, 3, 1)
 	if err := in.Send(0, 1); err != nil {

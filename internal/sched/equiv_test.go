@@ -282,57 +282,3 @@ func TestEngineVariantEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestStripedPartialRestartParity drives the Section VI-C-1 partial
-// rollback through both adapters and asserts the same outcome.
-func TestStripedPartialRestartParity(t *testing.T) {
-	opts := sched.MTOptions{Core: engine.Options{K: 2, StarvationAvoidance: true}}
-	rs, ss := storage.New(), storage.New()
-	coarse, striped := sched.NewMT(rs, opts), sched.NewMTStriped(ss, opts)
-	run := func(m sched.Scheduler, pr interface {
-		TryPartialRestart(int, []string) bool
-	}) (bool, error) {
-		m.Begin(1)
-		m.Write(1, "x", 1)
-		if err := m.Commit(1); err != nil {
-			return false, err
-		}
-		m.Begin(2)
-		m.Write(2, "x", 2)
-		if err := m.Commit(2); err != nil {
-			return false, err
-		}
-		m.Begin(3)
-		if _, err := m.Read(3, "y"); err != nil {
-			return false, err
-		}
-		// T4's read is ordered after T3's, so T3 cannot be raised in
-		// place and its write is rejected.
-		m.Begin(4)
-		if _, err := m.Read(4, "y"); err != nil {
-			return false, err
-		}
-		if err := m.Write(3, "x", 3); !errors.Is(err, sched.ErrAbort) {
-			return false, fmt.Errorf("setup: want write reject, got %v", err)
-		}
-		ok := pr.TryPartialRestart(3, []string{"y"})
-		if !ok {
-			return false, nil
-		}
-		if err := m.Write(3, "x", 3); err != nil {
-			return false, fmt.Errorf("retried write after partial restart: %v", err)
-		}
-		return true, m.Commit(3)
-	}
-	cok, cerr := run(coarse, coarse)
-	sok, serr := run(striped, striped)
-	if cok != sok || (cerr == nil) != (serr == nil) {
-		t.Fatalf("partial restart diverges: coarse (%v,%v) striped (%v,%v)", cok, cerr, sok, serr)
-	}
-	if !cok {
-		t.Fatal("partial restart failed on both (want success)")
-	}
-	if cv, sv := rs.Get("x"), ss.Get("x"); cv != sv {
-		t.Fatalf("x: coarse %d striped %d", cv, sv)
-	}
-}

@@ -31,9 +31,6 @@ type family struct {
 	// deferred selects the Section VI-C-2 scheme (MTOptions.DeferWrites).
 	// Only MT(k) offers the immediate alternative.
 	deferred bool
-	// reseeds: Abort(txn, blocker) flushes and reseeds the vector past
-	// the blocker (StarvationAvoidance), so a partial restart can work.
-	reseeds bool
 	// rejected, when set, is the protocol's own name for a rejection and
 	// replaces the per-stage wording ("read rejected", ...).
 	rejected string
@@ -49,7 +46,7 @@ func (o MTOptions) family(variant string) family {
 	if o.DeferWrites {
 		name += "/deferred"
 	}
-	return family{name: name, deferred: o.DeferWrites, reseeds: o.Core.StarvationAvoidance}
+	return family{name: name, deferred: o.DeferWrites}
 }
 
 // Name implements Scheduler.
@@ -280,33 +277,4 @@ func (m *MT) SeedWALCounters(lo, hi int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sched.RaiseWatermarks(lo, hi)
-}
-
-// TryPartialRestart implements the Section VI-C-1 partial rollback for a
-// transaction whose last operation was rejected: the vector is flushed
-// and reseeded past the blocker (so the retried suffix can be ordered)
-// and the transaction's earlier accepted reads are re-validated under the
-// new vector. On success the caller may resume execution after the kept
-// prefix, preserving its computation; the caller is responsible for
-// checking that the kept read VALUES are still current (per-item store
-// versions) before resuming. Requires StarvationAvoidance; returns false
-// when a full restart is needed.
-func (m *MT) TryPartialRestart(txn int, readItems []string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.txns[txn]
-	if st == nil || st.blocker == 0 || !m.reseeds {
-		return false
-	}
-	// Flush and reseed (keeps the transaction live: the write buffer and
-	// state survive).
-	m.sched.Abort(txn, st.blocker)
-	st.blocker = 0
-	for _, x := range readItems {
-		if v, blocker := m.sched.StepReadID(txn, m.store.IDOf(x)); v == core.Reject {
-			st.blocker = blocker
-			return false
-		}
-	}
-	return true
 }

@@ -341,36 +341,6 @@ func (a *adapter) WALCounters() (lo, hi int64) { return a.k.Watermarks() }
 // SeedWALCounters implements DurableCounters (atomic raise-only clamp).
 func (a *adapter) SeedWALCounters(lo, hi int64) { a.k.RaiseWatermarks(lo, hi) }
 
-// TryPartialRestart implements the Section VI-C-1 partial rollback,
-// mirroring MT.TryPartialRestart: flush-and-reseed past the blocker,
-// then re-validate the kept reads under the new vector.
-func (a *adapter) TryPartialRestart(txn int, readItems []string) bool {
-	st := a.lockState(txn)
-	if st == nil {
-		return false
-	}
-	defer st.mu.Unlock()
-	if st.blocker == 0 || !a.reseeds {
-		return false
-	}
-	// Flush and reseed (keeps the transaction live: the write buffer and
-	// state survive).
-	a.k.Abort(txn, st.blocker)
-	st.blocker = 0
-	for _, x := range readItems {
-		id := a.store.IDOf(x)
-		stripe := a.lt.StripeOfID(id)
-		a.lt.LockStripe(stripe)
-		verdict, blocker := a.k.StepReadID(txn, id)
-		a.lt.UnlockStripe(stripe)
-		if verdict == core.Reject {
-			st.blocker = blocker
-			return false
-		}
-	}
-	return true
-}
-
 // MTStriped is MT(k) on the production path: the adapter over the
 // fine-grained-locking engine.Striped and the engine's own latch table.
 type MTStriped struct {

@@ -344,22 +344,6 @@ func (s *Store) Set(item string, v int64) {
 	s.ApplyTxn(0, map[string]int64{item: v})
 }
 
-// ItemVersion returns the number of commits that wrote item (0 if never
-// written).
-func (s *Store) ItemVersion(item string) int64 {
-	id, ok := s.names.Lookup(item)
-	if !ok {
-		return 0
-	}
-	sh, li := s.shardOf(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if li >= len(sh.vers) {
-		return 0
-	}
-	return sh.vers[li]
-}
-
 // Version returns the number of committed batches so far.
 func (s *Store) Version() int64 {
 	s.commitMu.Lock()

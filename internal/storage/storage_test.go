@@ -63,12 +63,13 @@ func TestConcurrentApply(t *testing.T) {
 	}
 }
 
-// TestJournalOrderMatchesItemVersions hammers ApplyTxn from many
+// TestJournalOrderMatchesStoreVersions hammers ApplyTxn from many
 // goroutines and asserts the property WAL replay rests on: for every
 // item, the journal delivers that item's versions in strictly
 // ascending contiguous order (the batch holds its shard locks across
-// the journal call), and the global batch versions are contiguous.
-func TestJournalOrderMatchesItemVersions(t *testing.T) {
+// the journal call), the global batch versions are contiguous, and the
+// journal's per-item high-water marks are the store's State().ItemVers.
+func TestJournalOrderMatchesStoreVersions(t *testing.T) {
 	s := New()
 	var mu sync.Mutex
 	lastItemVer := make(map[string]int64)
@@ -112,8 +113,12 @@ func TestJournalOrderMatchesItemVersions(t *testing.T) {
 	if lastVersion != 8*200 {
 		t.Fatalf("journal saw %d batches, want %d", lastVersion, 8*200)
 	}
+	st := s.State()
+	if len(st.ItemVers) != len(lastItemVer) {
+		t.Fatalf("store versions %d items, journal %d", len(st.ItemVers), len(lastItemVer))
+	}
 	for x, v := range lastItemVer {
-		if got := s.ItemVersion(x); got != v {
+		if got := st.ItemVers[x]; got != v {
 			t.Fatalf("item %s: store version %d, journal high-water %d", x, got, v)
 		}
 	}

@@ -51,29 +51,6 @@ func TestDeadlineCancelsThink(t *testing.T) {
 	}
 }
 
-// TestStopCancelsSleeps covers shutdown: closing Stop mid-backoff
-// releases the in-flight transaction promptly.
-func TestStopCancelsSleeps(t *testing.T) {
-	stop := make(chan struct{})
-	rt := &Runtime{
-		Sched:   alwaysAbort{},
-		Backoff: 10 * time.Second,
-		Stop:    stop,
-	}
-	done := make(chan Result, 1)
-	go func() { done <- rt.Exec(Spec{ID: 1, Ops: []Op{R("x")}}) }()
-	time.Sleep(5 * time.Millisecond)
-	close(stop)
-	select {
-	case res := <-done:
-		if !res.DeadlineExceeded {
-			t.Fatalf("res = %+v", res)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop did not cancel the backoff sleep")
-	}
-}
-
 // TestExecCtxCancel covers caller-context cancellation.
 func TestExecCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

@@ -18,7 +18,6 @@ import (
 	"repro/internal/explore/hook"
 	"repro/internal/oplog"
 	"repro/internal/sched"
-	"repro/internal/storage"
 )
 
 // Op is one step of a transaction: read or write of a single item.
@@ -52,12 +51,6 @@ type Result struct {
 	Committed bool
 	// Attempts counts executions including the successful one.
 	Attempts int
-	// PartialResumes counts retries that resumed mid-transaction via the
-	// Section VI-C-1 partial rollback instead of restarting from scratch.
-	PartialResumes int
-	// OpsExecuted counts operations actually issued across all attempts
-	// (the wasted-work metric of the rollback experiments).
-	OpsExecuted int
 	// Unavailable counts attempts that ended in sched.ErrUnavailable
 	// (degraded-mode retries, not protocol aborts).
 	Unavailable int
@@ -134,24 +127,10 @@ func readSetOf(reads map[string]int64) ReadSet {
 	return s
 }
 
-// attemptScratch is the read bookkeeping of one ExecCtx call, recycled
-// across calls and cleared (not reallocated) between attempts.
-type attemptScratch struct {
-	reads    map[string]int64 // item -> value read; what Spec.Value sees
-	readVers map[string]int64 // item -> store version before the read (PartialRollback)
-}
-
-var scratchPool = sync.Pool{New: func() any {
-	return &attemptScratch{reads: make(map[string]int64), readVers: make(map[string]int64)}
-}}
-
-// PartialRestarter is implemented by schedulers supporting the Section
-// VI-C-1 partial rollback: after a rejected operation, the scheduler
-// reseeds the transaction and re-validates its earlier reads, so the
-// runtime can resume mid-transaction.
-type PartialRestarter interface {
-	TryPartialRestart(txn int, readItems []string) bool
-}
+// readsPool recycles the read bookkeeping of ExecCtx calls (item ->
+// value read; what Spec.Value sees). A map is cleared, not reallocated,
+// between attempts.
+var readsPool = sync.Pool{New: func() any { return make(map[string]int64) }}
 
 // Runtime executes Specs on a Scheduler.
 type Runtime struct {
@@ -170,12 +149,6 @@ type Runtime struct {
 	// round: a site can fail between a transaction's last operation and
 	// its commit, which is the window degraded-mode commits address.
 	Think time.Duration
-	// PartialRollback enables the Section VI-C-1 scheme when both the
-	// scheduler implements PartialRestarter and Store is set (item
-	// versions decide whether kept read values are still current).
-	PartialRollback bool
-	// Store is consulted for per-item versions under PartialRollback.
-	Store *storage.Store
 	// Seed perturbs the per-transaction backoff RNG. Zero preserves the
 	// legacy seeding from the spec ID alone; any other value is mixed
 	// with the spec ID so chaos experiments can vary jitter across runs
@@ -218,11 +191,6 @@ type Runtime struct {
 	// Expiry cancels in-flight sleeps, abandons blocked attempts and
 	// returns a result with DeadlineExceeded set.
 	Deadline time.Duration
-	// Stop, when non-nil, is a shutdown signal: once it closes, every
-	// in-flight backoff or think sleep is cancelled and transactions
-	// return promptly with DeadlineExceeded (shutdown is a deadline of
-	// "now").
-	Stop <-chan struct{}
 }
 
 // errAttemptTimeout marks an attempt abandoned by AttemptTimeout. It
@@ -275,28 +243,15 @@ func (r *Runtime) Exec(spec Spec) Result {
 	return r.ExecCtx(context.Background(), spec)
 }
 
-// ExecCtx is Exec under a context: ctx expiry (or Runtime.Deadline,
-// whichever fires first, or a closed Stop channel) cancels admission
-// waits, backoff and think sleeps and abandons blocked attempts,
-// returning a result with DeadlineExceeded set. With Admit configured,
-// the transaction first passes the overload controller's admission
-// gate; a refusal returns immediately with Shed set.
+// ExecCtx is Exec under a context: ctx expiry or cancellation (or
+// Runtime.Deadline, whichever fires first) cancels admission waits,
+// backoff and think sleeps and abandons blocked attempts, returning a
+// result with DeadlineExceeded set. With Admit configured, the
+// transaction first passes the overload controller's admission gate; a
+// refusal returns immediately with Shed set.
 func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 	start := time.Now()
 	res := Result{ID: spec.ID}
-	if r.Stop != nil {
-		sctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		stop := r.Stop
-		go func() {
-			select {
-			case <-stop:
-				cancel()
-			case <-sctx.Done():
-			}
-		}()
-		ctx = sctx
-	}
 	if r.Deadline > 0 {
 		dctx, cancel := context.WithTimeout(ctx, r.Deadline)
 		defer cancel()
@@ -324,9 +279,8 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 		}()
 	}
 	rng := jitter(jitterSeed(r.Seed, spec.ID))
-	sc := scratchPool.Get().(*attemptScratch)
-	defer func() { scratchPool.Put(sc) }()
-	resumeFrom := 0
+	reads := readsPool.Get().(map[string]int64)
+	defer func() { readsPool.Put(reads) }()
 	conflicts := 0 // attempts ended by ErrAbort, counted against MaxAttempts
 	waited := 0    // those of them that backed off: the back-off exponent
 	unavail := 0   // attempts ended by ErrUnavailable, separate budget
@@ -348,14 +302,10 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 				return expired()
 			}
 		}
-		if resumeFrom == 0 {
-			clear(sc.reads)
-			clear(sc.readVers)
-		}
-		out := r.attemptWithTimeout(ctx, spec, resumeFrom, sc)
-		res.OpsExecuted += out.ops
+		clear(reads)
+		abandoned, err := r.attemptWithTimeout(ctx, spec, reads)
 		res.Attempts++
-		if out.err == nil {
+		if err == nil {
 			res.Committed = true
 			res.Durable = true
 			if r.Durable != nil {
@@ -363,38 +313,29 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 					res.Durable = false
 				}
 			}
-			res.Reads = readSetOf(sc.reads)
+			res.Reads = readSetOf(reads)
 			res.Latency = time.Since(start)
 			return res
 		}
-		if out.abandoned {
-			// The straggler goroutine still writes the old scratch: leave
-			// it to the collector and never hand it to another call.
-			sc = scratchPool.Get().(*attemptScratch)
+		if abandoned {
+			// The straggler goroutine still writes the old map: leave it
+			// to the collector and never hand it to another call.
+			reads = readsPool.Get().(map[string]int64)
 		}
 		// A rejection from this repository's schedulers is a bare
 		// *sched.AbortError; only a foreign wrapper needs the chain walk.
 		// It is read once and handed back to its pool, so a rejection
 		// allocates nothing.
-		ae, rejected := out.err.(*sched.AbortError)
+		ae, rejected := err.(*sched.AbortError)
 		switch {
-		case rejected || errors.Is(out.err, sched.ErrAbort):
+		case rejected || errors.Is(err, sched.ErrAbort):
 			blocker, finished := 0, false
 			if rejected {
 				blocker, finished = ae.Blocker, ae.BlockerFinished
 				sched.ReleaseAbortError(ae)
 			}
 			conflicts++
-			resumeFrom = 0
-			if r.PartialRollback && r.Store != nil && out.failedAt > 0 {
-				if pr, ok := r.Sched.(PartialRestarter); ok && r.tryResume(spec, out.failedAt, sc, pr) {
-					resumeFrom = out.failedAt
-					res.PartialResumes++
-				}
-			}
-			if resumeFrom == 0 {
-				r.Sched.Abort(spec.ID)
-			}
+			r.Sched.Abort(spec.ID)
 			if r.MaxAttempts > 0 && conflicts >= r.MaxAttempts {
 				res.Latency = time.Since(start)
 				return res
@@ -423,19 +364,18 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 			if err := sleepBackoff(ctx, &rng, waited, wait, scale); err != nil {
 				return expired()
 			}
-		case errors.Is(out.err, sched.ErrDeadlineExceeded):
+		case errors.Is(err, sched.ErrDeadlineExceeded):
 			return expired()
-		case errors.Is(out.err, sched.ErrUnavailable):
+		case errors.Is(err, sched.ErrUnavailable):
 			// Degraded mode: no conflict was lost and no ordering was
 			// established against us — abort the incarnation and wait for
 			// the site to come back.
-			if errors.Is(out.err, errAttemptTimeout) {
+			if errors.Is(err, errAttemptTimeout) {
 				res.Timeouts++
 			} else {
 				res.Unavailable++
 			}
 			unavail++
-			resumeFrom = 0
 			r.Sched.Abort(spec.ID)
 			if r.UnavailableBudget > 0 && unavail >= r.UnavailableBudget {
 				res.Latency = time.Since(start)
@@ -449,7 +389,7 @@ func (r *Runtime) ExecCtx(ctx context.Context, spec Spec) Result {
 				return expired()
 			}
 		default:
-			panic("txn: scheduler returned a non-abort error: " + out.err.Error())
+			panic("txn: scheduler returned a non-abort error: " + err.Error())
 		}
 	}
 }
@@ -523,48 +463,20 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// tryResume decides whether execution can continue mid-transaction: the
-// kept reads' item versions must be unchanged (their values are still
-// current) and the scheduler must re-validate them under a reseeded
-// vector.
-func (r *Runtime) tryResume(spec Spec, failedAt int, sc *attemptScratch, pr PartialRestarter) bool {
-	var kept []string
-	for _, op := range spec.Ops[:failedAt] {
-		if op.Kind != oplog.Read {
-			continue
-		}
-		if r.Store.ItemVersion(op.Item) != sc.readVers[op.Item] {
-			return false // a newer committed value invalidates the kept read
-		}
-		kept = append(kept, op.Item)
-	}
-	return pr.TryPartialRestart(spec.ID, kept)
-}
-
-// attemptOut is one attempt's outcome: the failing op index, the number
-// of ops issued, the error, and whether the attempt was abandoned while
-// still running (its scratch then belongs to the straggler).
-type attemptOut struct {
-	failedAt  int
-	ops       int
-	err       error
-	abandoned bool
-}
-
 // attemptWithTimeout runs one attempt, bounded by AttemptTimeout when
 // set and by the context's deadline. A timed-out or deadline-abandoned
-// attempt keeps draining in its goroutine against the scheduler (which
-// must tolerate stray operations of a dead incarnation) but its scratch
-// is never reused by the caller, and its op count is lost. This abandonment
-// is also what cancels an attempt blocked on a latch or lock wait: the
-// caller stops waiting even though the blocked goroutine only unwinds
-// once the latch frees.
-func (r *Runtime) attemptWithTimeout(ctx context.Context, spec Spec, resumeFrom int, sc *attemptScratch) attemptOut {
+// attempt (abandoned reports it) keeps draining in its goroutine against
+// the scheduler, which must tolerate stray operations of a dead
+// incarnation, and the reads map then belongs to that straggler. This
+// abandonment is also what cancels an attempt blocked on a latch or lock
+// wait: the caller stops waiting even though the blocked goroutine only
+// unwinds once the latch frees.
+func (r *Runtime) attemptWithTimeout(ctx context.Context, spec Spec, reads map[string]int64) (abandoned bool, err error) {
 	if r.AttemptTimeout <= 0 && ctx.Done() == nil {
-		return r.attempt(ctx, spec, resumeFrom, sc)
+		return false, r.attempt(ctx, spec, reads)
 	}
-	ch := make(chan attemptOut, 1)
-	go func() { ch <- r.attempt(ctx, spec, resumeFrom, sc) }()
+	ch := make(chan error, 1)
+	go func() { ch <- r.attempt(ctx, spec, reads) }()
 	var timeout <-chan time.Time
 	if r.AttemptTimeout > 0 {
 		timer := time.NewTimer(r.AttemptTimeout)
@@ -572,10 +484,10 @@ func (r *Runtime) attemptWithTimeout(ctx context.Context, spec Spec, resumeFrom 
 		timeout = timer.C
 	}
 	select {
-	case out := <-ch:
-		return out
+	case err := <-ch:
+		return false, err
 	case <-timeout:
-		return attemptOut{failedAt: -1, err: errAttemptTimeout, abandoned: true}
+		return true, errAttemptTimeout
 	case <-ctx.Done():
 		// Janitor: the abandoned goroutine may Begin a fresh incarnation
 		// after the caller's final Abort, leaving a live-looking entry
@@ -583,64 +495,48 @@ func (r *Runtime) attemptWithTimeout(ctx context.Context, spec Spec, resumeFrom 
 		// deadline path never reuses the id, so re-aborting once the
 		// stray drains is safe and closes the leak.
 		go func() { <-ch; r.Sched.Abort(spec.ID) }()
-		return attemptOut{failedAt: -1, err: sched.DeadlineExceeded(spec.ID, 0, "attempt abandoned"), abandoned: true}
+		return true, sched.DeadlineExceeded(spec.ID, 0, "attempt abandoned")
 	}
 }
 
-// attempt runs ops[resumeFrom:] of the spec; a fresh attempt
-// (resumeFrom == 0) begins the transaction first. Think sleeps are
-// cancellable: ctx expiry fails the attempt with ErrDeadlineExceeded.
-func (r *Runtime) attempt(ctx context.Context, spec Spec, resumeFrom int, sc *attemptScratch) attemptOut {
-	out := attemptOut{failedAt: -1}
-	if resumeFrom == 0 {
-		if ctx.Err() != nil {
-			out.err = sched.DeadlineExceeded(spec.ID, 0, "attempt not started")
-			return out
-		}
-		r.Sched.Begin(spec.ID)
+// attempt begins the transaction, runs every op of the spec, recording
+// each read's value in reads, and commits. Think sleeps are cancellable:
+// ctx expiry fails the attempt with ErrDeadlineExceeded.
+func (r *Runtime) attempt(ctx context.Context, spec Spec, reads map[string]int64) error {
+	if ctx.Err() != nil {
+		return sched.DeadlineExceeded(spec.ID, 0, "attempt not started")
 	}
-	for i := resumeFrom; i < len(spec.Ops); i++ {
-		op := spec.Ops[i]
+	r.Sched.Begin(spec.ID)
+	for i, op := range spec.Ops {
 		if r.Think > 0 && i > 0 {
 			if err := sleepCtx(ctx, r.Think); err != nil {
-				out.failedAt, out.err = i, sched.DeadlineExceeded(spec.ID, 0, "think")
-				return out
+				return sched.DeadlineExceeded(spec.ID, 0, "think")
 			}
 		}
-		out.ops++
 		if op.Kind == oplog.Read {
-			if r.Store != nil {
-				sc.readVers[op.Item] = r.Store.ItemVersion(op.Item)
-			}
 			v, err := r.Sched.Read(spec.ID, op.Item)
 			if err != nil {
-				out.failedAt, out.err = i, err
-				return out
+				return err
 			}
-			sc.reads[op.Item] = v
+			reads[op.Item] = v
 			continue
 		}
 		var v int64
 		if spec.Value != nil {
-			v = spec.Value(op.Item, sc.reads)
+			v = spec.Value(op.Item, reads)
 		} else {
 			v = int64(spec.ID)
 		}
 		if err := r.Sched.Write(spec.ID, op.Item, v); err != nil {
-			out.failedAt, out.err = i, err
-			return out
+			return err
 		}
 	}
 	if r.Think > 0 && len(spec.Ops) > 0 {
 		if err := sleepCtx(ctx, r.Think); err != nil {
-			out.failedAt, out.err = len(spec.Ops), sched.DeadlineExceeded(spec.ID, 0, "pre-commit think")
-			return out
+			return sched.DeadlineExceeded(spec.ID, 0, "pre-commit think")
 		}
 	}
-	if err := r.Sched.Commit(spec.ID); err != nil {
-		out.failedAt, out.err = len(spec.Ops), err
-	}
-	return out
+	return r.Sched.Commit(spec.ID)
 }
 
 // Pool executes specs on w workers and returns every result.

@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: ci vet fmt lint vuln docs-check build test benchmark-test benchmark-smoke flake shuffle race bench bench-smoke bench-sweep-7 alloc-gate chaos chaos-partition chaos-partition-smoke fuzz-smoke crash overload-smoke explore-smoke explore cover
+.PHONY: ci vet fmt lint vuln docs-check build test benchmark-test benchmark-smoke flake shuffle race bench bench-smoke bench-sweep-7 alloc-gate soak chaos chaos-partition chaos-partition-smoke fuzz-smoke crash overload-smoke explore-smoke explore cover
 
 # The full gate: what must pass before merging.
 ci: vet fmt lint vuln docs-check build test benchmark-test benchmark-smoke shuffle race bench-smoke alloc-gate fuzz-smoke crash chaos-partition-smoke overload-smoke explore-smoke
@@ -96,6 +96,13 @@ bench-smoke:
 alloc-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkStripedScheduler/(free-store|steady)|BenchmarkDurableCommit/volatile|BenchmarkRuntimeExec' \
 		-benchmem -benchtime 100x . | $(GO) run ./cmd/allocgate -budget bench/alloc_budget.json
+
+# Bounded state under unbounded uptime: 10^7 fresh-id transactions
+# through txn.Runtime on MT(7)/striped; BenchmarkSoak fails when the heap
+# that survives a GC grows more than 10 % between its first and last of
+# 10 checkpoints, and reports retained-B (several minutes; not in ci).
+soak:
+	$(GO) test -run '^$$' -bench '^BenchmarkSoak$$' -benchtime 10000000x -timeout 60m .
 
 # A quick chaos smoke run: DMT(k) under crash + drift + message loss.
 chaos:

@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -977,4 +978,121 @@ func BenchmarkRuntimeExec(b *testing.B) {
 			return sched.NewComposite(store, 7, engine.Options{StarvationAvoidance: true})
 		})
 	})
+}
+
+// BenchmarkRuntimeScale/disjoint is the striped path's scaling check
+// (ROADMAP item U): every b.RunParallel worker owns 16 items and runs
+// R x R y W x W y over pairs of its own items through txn.Runtime on
+// MT(7)/striped with StarvationAvoidance, with fresh ids from one
+// shared counter. No two workers ever touch the same item, so what
+// keeps two cores from committing twice what one does is shared
+// machinery, not conflicts. Run with -cpu 1,2 and compare ns/op; add
+// -mutexprofile to see where the contention is.
+func BenchmarkRuntimeScale(b *testing.B) {
+	b.Run("disjoint", func(b *testing.B) {
+		const own = 16
+		workers := runtime.GOMAXPROCS(0)
+		store := storage.New()
+		specs := make([][]txn.Spec, workers)
+		for w := range specs {
+			items := make([]string, own)
+			for i := range items {
+				items[i] = fmt.Sprintf("w%03d-%02d", w, i)
+				store.Set(items[i], 1)
+			}
+			for i := range items {
+				x, y := items[i], items[(i+1)%own]
+				specs[w] = append(specs[w], txn.Spec{Ops: []txn.Op{txn.R(x), txn.R(y), txn.W(x), txn.W(y)}})
+			}
+		}
+		rt := &txn.Runtime{
+			Sched: sched.NewMTStriped(store, sched.MTOptions{
+				Core: engine.Options{K: 7, StarvationAvoidance: true},
+			}),
+			MaxAttempts: 1000, Backoff: 20 * time.Microsecond, Seed: 1,
+		}
+		var ids, next atomic.Int64
+		var attempts atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			mine := specs[int(next.Add(1)-1)%workers]
+			ctx := context.Background()
+			for i := 0; pb.Next(); i++ {
+				spec := mine[i%own]
+				spec.ID = int(ids.Add(1))
+				res := rt.ExecCtx(ctx, spec)
+				if !res.Committed {
+					b.Errorf("transaction %d gave up: %+v", spec.ID, res)
+					return
+				}
+				attempts.Add(int64(res.Attempts))
+			}
+		})
+		b.ReportMetric(float64(attempts.Load())/float64(b.N), "attempts/txn")
+	})
+}
+
+// BenchmarkSoak runs uniform 4-op transactions with fresh ids through
+// txn.Runtime on MT(7)/striped and watches the heap that survives a
+// collection: after a warm-up it takes runtime.GC() and the live heap
+// at 10 evenly spaced checkpoints, reports the last as retained-B, and
+// fails when it exceeds the first by more than 10 %. Every structure
+// the path keeps per transaction must be reclaimed for the heap to stay
+// flat; make soak runs it over 10⁷ transactions (aim 3: bounded state
+// under unbounded uptime).
+func BenchmarkSoak(b *testing.B) {
+	items := workload.Config{Items: 1024}.ItemNames()
+	store := storage.New()
+	for _, x := range items {
+		store.Set(x, 1000)
+	}
+	pool := workload.Config{
+		Txns: 4096, OpsPerTxn: 4, Items: len(items), ReadFraction: 0.7, Seed: 7,
+	}.Generate()
+	rt := &txn.Runtime{
+		Sched: sched.NewMTStriped(store, sched.MTOptions{
+			Core: engine.Options{K: 7, StarvationAvoidance: true},
+		}),
+		MaxAttempts: 1000, Backoff: 20 * time.Microsecond, Seed: 1,
+	}
+	ctx := context.Background()
+	n := 0
+	iter := func() {
+		spec := pool[n%len(pool)]
+		n++
+		spec.ID = n
+		if res := rt.ExecCtx(ctx, spec); !res.Committed {
+			b.Fatalf("transaction %d gave up: %+v", n, res)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		iter()
+	}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	every := b.N / 10
+	var marks []uint64
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		iter()
+		if every > 0 && i%every == 0 && len(marks) < 10 {
+			b.StopTimer()
+			marks = append(marks, live())
+			b.StartTimer()
+		}
+	}
+	if len(marks) == 0 {
+		return // too short to have checkpoints
+	}
+	first, last := marks[0], marks[len(marks)-1]
+	b.ReportMetric(float64(last), "retained-B")
+	b.ReportMetric((float64(last)-float64(first))/float64(b.N-every), "growth-B/txn")
+	if float64(last) > 1.1*float64(first) {
+		b.Fatalf("retained heap grew from %d to %d B over %d transactions (checkpoints %v)", first, last, b.N-every, marks)
+	}
 }

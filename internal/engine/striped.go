@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"slices"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -51,8 +51,8 @@ import (
 // Memory discipline (DESIGN.md §14): items are interned to dense int32
 // ids, so RT/WT/access state lives in per-stripe slices indexed by
 // id/nStripes instead of string maps; transaction entries live in a
-// chunked, atomically published table indexed by txn id and are
-// recycled through a sync.Pool. A steady-state step — intern hit,
+// core.Spine, a sliding chunked table indexed by txn id and read
+// without a lock, and are recycled through a sync.Pool. A steady-state step — intern hit,
 // latch, three entry locks, decision, repin — allocates nothing; the
 // alloc gate in CI (make alloc-gate) holds it at 0 allocs/op.
 type Striped struct {
@@ -66,17 +66,12 @@ type Striped struct {
 	smask   int  // stripe index mask (stripe count - 1)
 	nshift  uint // log2(stripe count): id >> nshift is the in-stripe index
 
-	// tmu serializes txn-table growth and slot publication (create is
-	// the only writer); lookups are lock-free loads of the spine, whose
-	// published header only ever grows (see growSpine). tmu
-	// orders BEFORE the per-entry locks: create initializes a pooled
-	// entry under its lock while holding tmu, and no path acquires tmu
-	// while holding an entry lock (reclamation clears slots with a CAS,
-	// not under tmu, precisely to keep this acyclic).
-	tmu   sync.Mutex
-	spine atomic.Pointer[[]*txnChunk]
-	live  atomic.Int64 // published, unreclaimed entries (including T_0)
-	pool  sync.Pool    // *txnEntry, vectors pre-sized to k
+	// txns is the transaction table: a sliding spine of pooled
+	// entries, read without a lock. Publishing into an installed chunk
+	// is a slot CAS; the spine's own mutex is a leaf, taken only to
+	// install a chunk or regrow its ring.
+	txns core.Spine[txnEntry]
+	pool sync.Pool // *txnEntry, vectors pre-sized to k
 	// staleRetries counts lock-set retries that hit a reclaimed or
 	// recycled entry (the generation check); the pooled-reuse stress
 	// test asserts every stale access is caught here.
@@ -114,18 +109,6 @@ func (st *itemStripe) ensure(li int) {
 		st.wt = append(st.wt, 0)
 		st.access = append(st.access, 0)
 	}
-}
-
-// txnChunk is one fixed block of the transaction table. Chunks never
-// move once published, so a slot pointer read is one atomic load.
-const (
-	txnChunkBits = 8
-	txnChunkSize = 1 << txnChunkBits
-	txnChunkMask = txnChunkSize - 1
-)
-
-type txnChunk struct {
-	slots [txnChunkSize]atomic.Pointer[txnEntry]
 }
 
 // txnEntry is one transaction's vector plus lifecycle state, guarded by
@@ -245,96 +228,67 @@ func (s *Striped) ItemID(item string) int32 { return s.names.ID(item) }
 // check; test observability).
 func (s *Striped) StaleRetries() int64 { return s.staleRetries.Load() }
 
-// lookup returns the published entry for id, or nil. Lock-free.
-func (s *Striped) lookup(id int) *txnEntry {
-	sp := s.spine.Load()
-	if sp == nil {
-		return nil
-	}
-	hi := id >> txnChunkBits
-	if hi >= len(*sp) {
-		return nil
-	}
-	ch := (*sp)[hi]
-	if ch == nil {
-		return nil
-	}
-	return ch.slots[id&txnChunkMask].Load()
-}
+// lookup returns the published entry for id, or nil. Lock-free; the
+// entry may belong to another id by the time it is locked (see
+// lockFound).
+func (s *Striped) lookup(id int) *txnEntry { return s.txns.Load(id) }
 
-// create publishes an entry for id under tmu, installing its chunk
-// first when the spine has none there yet.
+// create returns id's live entry, publishing a pooled one with a slot
+// CAS when there is none; only installing its chunk takes the spine's
+// mutex.
 func (s *Striped) create(id int) *txnEntry {
 	if id < 0 {
 		panic("engine: negative transaction id")
 	}
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	hi := id >> txnChunkBits
-	var chunks []*txnChunk
-	if sp := s.spine.Load(); sp != nil {
-		chunks = *sp
+	for {
+		if e := s.txns.Load(id); e != nil {
+			if !e.dead.Load() {
+				return e
+			}
+			// Mid-reclaim: its reclaimer clears the slot before it
+			// unlocks the entry, so wait for that and look again.
+			e.mu.Lock()
+			cleared := s.txns.Load(id) != e
+			e.mu.Unlock()
+			if !cleared {
+				runtime.Gosched()
+			}
+			continue
+		}
+		e := s.pool.Get().(*txnEntry)
+		// Initialize and publish under the entry lock: a straggler holding
+		// a stale pointer from the entry's previous identity may lock it
+		// and read (id, dead) at any moment. If the previous identity is
+		// still mid-reclaim, Get returned before that op's unlock and this
+		// block waits for it. The spine's mutex is a leaf, so taking it
+		// here (to install a chunk) cannot deadlock.
+		e.mu.Lock()
+		e.id = id
+		e.gen++
+		e.dead.Store(false)
+		e.done = false
+		e.succ = false
+		e.pins = 0
+		e.vec.Reset()
+		if s.txns.CompareAndSwap(id, nil, e) {
+			e.mu.Unlock()
+			return e
+		}
+		// Another create won the slot: retire this copy so no straggler
+		// takes it for id.
+		e.dead.Store(true)
+		e.gen++
+		e.mu.Unlock()
+		s.pool.Put(e)
 	}
-	if hi >= len(chunks) || chunks[hi] == nil {
-		chunks = s.growSpine(chunks, hi)
-	}
-	slot := &chunks[hi].slots[id&txnChunkMask]
-	if e := slot.Load(); e != nil && !e.dead.Load() {
-		return e
-	}
-	e := s.pool.Get().(*txnEntry)
-	// Initialize under the entry lock: a straggler holding a stale
-	// pointer from the entry's previous identity may lock it and read
-	// (id, dead) at any moment. If the previous identity is still
-	// mid-reclaim, Get returned before that op's unlock and this block
-	// waits for it — reclamation never acquires tmu, so holding it here
-	// cannot deadlock.
-	e.mu.Lock()
-	e.id = id
-	e.gen++
-	e.dead.Store(false)
-	e.done = false
-	e.succ = false
-	e.pins = 0
-	e.vec.Reset()
-	e.mu.Unlock()
-	slot.Store(e)
-	s.live.Add(1)
-	return e
-}
-
-// growSpine publishes a spine with a fresh chunk at index hi (tmu
-// held). Lookups only index below the length of the header they
-// loaded, so past the published length the spare capacity is written
-// in place and a longer header published over it (as intern.Table
-// publishes names), the array doubling when it runs out: minting ids
-// costs amortized O(1) per chunk, not a copy of the whole spine. Only a
-// hole below the published length (ids first used out of order) takes
-// a fresh copy — a lookup may be reading that slot right now.
-func (s *Striped) growSpine(chunks []*txnChunk, hi int) []*txnChunk {
-	switch {
-	case hi < len(chunks):
-		chunks = slices.Clone(chunks)
-	case hi < cap(chunks):
-		chunks = chunks[:hi+1]
-	default:
-		grown := make([]*txnChunk, hi+1, max(2*cap(chunks), hi+1))
-		copy(grown, chunks)
-		chunks = grown
-	}
-	chunks[hi] = &txnChunk{}
-	s.spine.Store(&chunks)
-	return chunks
 }
 
 // lockTxns locks the entries for ids[:n] in ascending id order (ids
 // are deduplicated here), retrying when an entry was reclaimed or
-// recycled between lookup and lock — detected by the (id, dead)
-// generation check, since a pooled entry that was re-published for a
-// different transaction no longer carries the id it was looked up
-// under. Every id but weak is created on demand; weak (-1 for none) is
-// locked only while it has a live entry, and is left out of the result
-// once it has none. The result lives in the caller-provided lockedTxns.
+// recycled between lookup and lock (see lockFound). Every id but weak
+// is created on demand; weak (-1 for none) is locked only while it has
+// a live entry, and is left out of the result once it has none. The
+// result lives in the caller-provided lockedTxns.
 func (s *Striped) lockTxns(lt *lockedTxns, ids [3]int, n, weak int) {
 	if n > 1 && ids[0] > ids[1] {
 		ids[0], ids[1] = ids[1], ids[0]
@@ -354,7 +308,6 @@ func (s *Striped) lockTxns(lt *lockedTxns, ids [3]int, n, weak int) {
 			m++
 		}
 	}
-retry:
 	for {
 		lt.n = 0
 		for _, id := range ids[:m] {
@@ -368,19 +321,49 @@ retry:
 			lt.ids[lt.n], lt.es[lt.n] = id, e
 			lt.n++
 		}
-		for i := 0; i < lt.n; i++ {
-			e := lt.es[i]
-			e.mu.Lock()
-			if e.dead.Load() || e.id != lt.ids[i] {
-				s.staleRetries.Add(1)
-				for j := i; j >= 0; j-- {
-					lt.es[j].mu.Unlock()
-				}
-				continue retry
-			}
+		if s.lockFound(lt) {
+			return
 		}
-		return
 	}
+}
+
+// lockFound locks the entries lockTxns found, in order, and reports
+// whether each still is the live entry of the id it was found under —
+// the (id, dead) generation check. A pooled entry re-published for
+// another transaction, or read from a spine chunk that was recycled
+// for another id range between lookup and lock, fails it; then
+// everything is unlocked, the miss counted in StaleRetries, and the
+// caller looks up again.
+//
+// Only the first entry is waited for. A stale pointer stands for
+// another id than the one it was found under, so waiting for it while
+// holding a lower id's entry could close a cycle that ascending id
+// order cannot rule out (the same object may even be found twice).
+// When a later entry is busy, everything is unlocked, the holder
+// waited out, and false returned.
+func (s *Striped) lockFound(lt *lockedTxns) bool {
+	for i := 0; i < lt.n; i++ {
+		e := lt.es[i]
+		if i == 0 {
+			e.mu.Lock()
+		} else if !e.mu.TryLock() {
+			for j := i - 1; j >= 0; j-- {
+				lt.es[j].mu.Unlock()
+			}
+			//lint:ignore SA2001 waits out the holder without holding anything
+			e.mu.Lock()
+			e.mu.Unlock()
+			return false
+		}
+		if e.dead.Load() || e.id != lt.ids[i] {
+			s.staleRetries.Add(1)
+			for j := i; j >= 0; j-- {
+				lt.es[j].mu.Unlock()
+			}
+			return false
+		}
+	}
+	return true
 }
 
 // Step schedules one atomic operation, acquiring the items' latches
@@ -518,10 +501,10 @@ func (s *Striped) repin(table []int, li int, txn int, lt *lockedTxns) {
 
 // maybeReclaim recycles the entry once the transaction is finished and
 // no longer a most-recent read/write timestamp. The caller holds e.mu.
-// The published slot is cleared with a CAS (not under tmu — see the
-// tmu comment) and the entry goes back to the pool; it may be locked
-// by a recycler before the caller unlocks it, which is safe because
-// create initializes entries under their lock.
+// The published slot is cleared with a CAS and the entry goes back to
+// the pool; it may be locked by a recycler before the caller unlocks
+// it, which is safe because create initializes entries under their
+// lock.
 func (s *Striped) maybeReclaim(id int, e *txnEntry) {
 	if id == 0 {
 		return
@@ -529,13 +512,7 @@ func (s *Striped) maybeReclaim(id int, e *txnEntry) {
 	if e.done && (e.pins <= 0 || s.unsafeEagerReclaim) && !e.dead.Load() {
 		e.dead.Store(true)
 		e.gen++
-		if sp := s.spine.Load(); sp != nil {
-			hi := id >> txnChunkBits
-			if hi < len(*sp) && (*sp)[hi] != nil {
-				(*sp)[hi].slots[id&txnChunkMask].CompareAndSwap(e, nil)
-			}
-		}
-		s.live.Add(-1)
+		s.txns.CompareAndSwap(id, e, nil)
 		s.pool.Put(e)
 	}
 }
@@ -686,33 +663,19 @@ func (s *Striped) RaiseWatermarks(lo, hi int64) { s.cols.RaiseWatermarks(lo, hi)
 
 // LiveVectors returns the number of vectors currently held (including
 // T_0), for storage-reclamation tests.
-func (s *Striped) LiveVectors() int { return int(s.live.Load()) }
+func (s *Striped) LiveVectors() int { return s.txns.Len() }
 
 // Snapshot returns copies of all live timestamp vectors keyed by
 // transaction id. Entries are locked one at a time, so the result is
 // per-vector consistent; quiesce the scheduler for a global snapshot.
 func (s *Striped) Snapshot() map[int]*core.Vector {
 	out := make(map[int]*core.Vector)
-	sp := s.spine.Load()
-	if sp == nil {
-		return out
-	}
-	for hi, ch := range *sp {
-		if ch == nil {
-			continue
+	s.txns.Range(func(id int, e *txnEntry) {
+		e.mu.Lock()
+		if !e.dead.Load() && e.id == id {
+			out[id] = e.vec.Clone()
 		}
-		for lo := range ch.slots {
-			e := ch.slots[lo].Load()
-			if e == nil {
-				continue
-			}
-			want := hi<<txnChunkBits | lo
-			e.mu.Lock()
-			if !e.dead.Load() && e.id == want {
-				out[want] = e.vec.Clone()
-			}
-			e.mu.Unlock()
-		}
-	}
+		e.mu.Unlock()
+	})
 	return out
 }

@@ -77,8 +77,9 @@ type pendingWriters interface {
 //  4. the store's shard locks and commit mutex (the WAL group-commit
 //     path stays the only global ordering point).
 //
-// The adapter's transaction map lock (tmu) is a leaf: it is never held
-// while acquiring any of the above.
+// The transaction table is a core.Spine read without a lock; its one
+// mutex is taken only to install a chunk or regrow its ring, and
+// nothing is acquired under it.
 type adapter struct {
 	family
 	k      kernel
@@ -87,8 +88,7 @@ type adapter struct {
 	store  *storage.Store
 	liveFn func(int) bool // a.live, bound once (no per-call closure)
 
-	tmu  sync.RWMutex
-	txns map[int]*txnState
+	txns core.Spine[txnState]
 	pool sync.Pool // *txnState, recycled across transactions
 
 	// unsafePublish reintroduces the PR 5 deferred-mode publish
@@ -102,9 +102,10 @@ type adapter struct {
 // txnState is the runtime state of one live transaction, guarded by
 // its own lock. States are pooled: drop returns them, Begin recycles
 // them, and every lock of a possibly-stale pointer re-checks identity
-// against the transaction map afterwards (see lockState).
+// against the transaction table afterwards (see lockState).
 type txnState struct {
 	mu      sync.Mutex
+	id      int // the transaction last begun on this state
 	writes  map[int32]int64
 	order   []int32 // write order, for deterministic commit validation
 	blocker int     // last rejecting transaction (starvation fix seed)
@@ -117,7 +118,7 @@ type txnState struct {
 // newAdapter wraps the lifecycle around k; lt must stripe by the
 // store's interned item ids.
 func newAdapter(store *storage.Store, f family, k kernel, lt *core.LatchTable) *adapter {
-	a := &adapter{family: f, k: k, lt: lt, store: store, txns: make(map[int]*txnState)}
+	a := &adapter{family: f, k: k, lt: lt, store: store}
 	if !f.deferred {
 		a.probe = k.(pendingWriters)
 	}
@@ -136,34 +137,31 @@ func (a *adapter) Begin(txn int) {
 	// and a straggler holding a stale pointer may lock it to run its
 	// identity re-check at any moment.
 	st.mu.Lock()
+	st.id = txn
 	clear(st.writes)
 	st.order = st.order[:0]
 	st.blocker = 0
 	st.mu.Unlock()
-	a.tmu.Lock()
-	a.txns[txn] = st
-	a.tmu.Unlock()
+	// A stray incarnation's state, if any, is replaced, not recycled.
+	for old := a.txns.Load(txn); !a.txns.CompareAndSwap(txn, old, st); old = a.txns.Load(txn) {
+	}
 }
 
 // lockState returns txn's live state with its lock held, or nil if the
 // transaction has no live incarnation (see noIncarnation). Because
-// states are pooled, the identity is re-checked after locking: if the
-// state was dropped and recycled for another transaction between lookup
-// and lock, the map no longer points at it for txn and the lookup
-// retries.
+// states are pooled and spine chunks recycled, the identity is
+// re-checked after locking: if the state was dropped and begun for
+// another transaction between lookup and lock, or read from a chunk
+// that now serves another id range, it no longer carries txn's id or
+// is no longer what the table holds for txn, and the lookup retries.
 func (a *adapter) lockState(txn int) *txnState {
 	for {
-		a.tmu.RLock()
-		st := a.txns[txn]
-		a.tmu.RUnlock()
+		st := a.txns.Load(txn)
 		if st == nil {
 			return nil
 		}
 		st.mu.Lock()
-		a.tmu.RLock()
-		cur := a.txns[txn]
-		a.tmu.RUnlock()
-		if cur == st {
+		if st.id == txn && a.txns.Load(txn) == st {
 			return st
 		}
 		st.mu.Unlock()
@@ -171,14 +169,9 @@ func (a *adapter) lockState(txn int) *txnState {
 }
 
 // live reports whether txn has runtime state (the liveness callback of
-// the pending-writer probes and the blocker state abortBy reports;
-// takes only the leaf map lock).
-func (a *adapter) live(txn int) bool {
-	a.tmu.RLock()
-	_, ok := a.txns[txn]
-	a.tmu.RUnlock()
-	return ok
-}
+// the pending-writer probes and the blocker state abortBy reports): one
+// spine load, no lock.
+func (a *adapter) live(txn int) bool { return a.txns.Load(txn) != nil }
 
 // Read implements Scheduler: the read is validated immediately
 // (Algorithm 1) under the item's latch, and the value is fetched under
@@ -283,7 +276,7 @@ func (a *adapter) Commit(txn int) error {
 				err := a.refusal(&st.blocker, txn, verdict, who, a.liveFn, "commit-time write validation failed")
 				a.k.Abort(txn, st.blocker)
 				a.lt.UnlockStripesSorted(st.stripes)
-				a.drop(txn)
+				a.drop(txn, st)
 				return err
 			case core.AcceptIgnored:
 				continue
@@ -304,32 +297,31 @@ func (a *adapter) Commit(txn int) error {
 	if !a.unsafePublish {
 		a.lt.UnlockStripesSorted(st.stripes)
 	}
-	a.drop(txn)
+	a.drop(txn, st)
 	return nil
 }
 
-// drop removes txn's runtime state and recycles it. The state may
-// still be locked by the caller (or by a straggler); recyclers
-// re-initialize under the state lock, so the pool handoff is safe.
-func (a *adapter) drop(txn int) {
-	a.tmu.Lock()
-	st := a.txns[txn]
-	delete(a.txns, txn)
-	a.tmu.Unlock()
-	if st != nil {
+// drop unpublishes st as txn's runtime state and recycles it, unless a
+// newer Begin has replaced it already. The state may still be locked
+// by the caller (or by a straggler); recyclers re-initialize under the
+// state lock, so the pool handoff is safe.
+func (a *adapter) drop(txn int, st *txnState) {
+	if a.txns.CompareAndSwap(txn, st, nil) {
 		a.pool.Put(st)
 	}
 }
 
 // Abort implements Scheduler.
 func (a *adapter) Abort(txn int) {
-	blocker := 0
-	if st := a.lockState(txn); st != nil {
-		blocker = st.blocker
-		st.mu.Unlock()
+	st := a.lockState(txn)
+	if st == nil {
+		a.k.Abort(txn, 0)
+		return
 	}
+	blocker := st.blocker
+	st.mu.Unlock()
 	a.k.Abort(txn, blocker)
-	a.drop(txn)
+	a.drop(txn, st)
 }
 
 // WALCounters implements DurableCounters. The kernel's own lock is
